@@ -4,7 +4,8 @@ decide feasibility, compute exact thresholds, and run the oracle.
 Exit codes form the contract: 0 on success or a positive answer, 1 on a
 negative answer (infeasible, invalid certificate, disagreements found),
 2 when the search budget runs out, 64 for malformed input, 65 for calls
-outside a precondition, 66 when no reducible configuration exists.
+outside a precondition, 66 when no reducible configuration exists, 70 for
+an internal error (any other exception, reported on one stderr line).
 argparse itself exits with 2 on bad flags, before any computation.
 """
 
@@ -68,6 +69,7 @@ EXIT_BUDGET = 2
 EXIT_INPUT = 64
 EXIT_PRECONDITION = 65
 EXIT_NO_CONFIGURATION = 66
+EXIT_INTERNAL = 70
 
 
 def _parse_bound(text: str):
@@ -446,6 +448,10 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:
+        # Anything else is a defect, never an answer: keep it off exit 1.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

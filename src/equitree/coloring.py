@@ -73,7 +73,14 @@ class TreeColoring:
 
 @dataclass(frozen=True)
 class ClassCheck:
-    """Measured facts about one color class."""
+    """Measured facts about one color class.
+
+    ``max_degree`` is the largest degree in the subgraph the class induces.
+    ``diameter`` is the largest eccentricity of any vertex within its own
+    component: the largest component diameter, whether or not the class is a
+    forest.  Classes of size 0 or 1, and independent sets of any size,
+    report ``ClassCheck(size, True, 0, 0)``.
+    """
 
     size: int
     is_forest: bool
@@ -91,48 +98,56 @@ class VerificationReport:
     first_violation: str = ""
 
 
+# Reports for the classes of size 0 and 1, shared by every verify call.
+_TRIVIAL = (ClassCheck(0, True, 0, 0), ClassCheck(1, True, 0, 0))
+
+
+def _sweep(inside: dict[int, frozenset[int]], root: int) -> tuple[list[int], int]:
+    """BFS within a class: the vertices reached in BFS order and root's eccentricity.
+
+    The last vertex of the order is one farthest from root.
+    """
+    dist = {root: 0}
+    order = [root]
+    for u in order:
+        du = dist[u] + 1
+        for v in inside[u]:
+            if v not in dist:
+                dist[v] = du
+                order.append(v)
+    return order, dist[order[-1]]
+
+
 def _class_checks(g: Graph, members: list[int]) -> ClassCheck:
+    """Measure a class of two or more vertices in time linear in its induced size.
+
+    A component with one edge fewer than vertices is a tree, whose diameter
+    two sweeps find exactly; only a component with a cycle pays a sweep from
+    every vertex.
+    """
     mset = set(members)
-    inside = {v: g.adjacency[v] & mset for v in members}
-    edge_count = sum(len(s) for s in inside.values()) // 2
-    maxdeg = max((len(s) for s in inside.values()), default=0)
+    adjacency = g.adjacency
+    inside = {v: adjacency[v] & mset for v in members}
+    max_degree = max(map(len, inside.values()))
+    if not max_degree:
+        return ClassCheck(len(members), True, 0, 0)
 
     seen: set[int] = set()
-    components = 0
-    diameter = 0
     forest = True
+    diameter = 0
     for s in members:
-        if s in seen:
+        if s in seen or not inside[s]:
             continue
-        components += 1
-        comp = [s]
-        seen.add(s)
-        for u in comp:
-            for v in inside[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-        if len(comp) > 1:
-            comp_edges = sum(len(inside[u]) for u in comp) // 2
-            if comp_edges != len(comp) - 1:
-                forest = False
-            for root in comp:
-                dist = {root: 0}
-                queue = [root]
-                ecc = 0
-                for u in queue:
-                    du = dist[u] + 1
-                    for v in inside[u]:
-                        if v not in dist:
-                            dist[v] = du
-                            queue.append(v)
-                            if du > ecc:
-                                ecc = du
-                if ecc > diameter:
-                    diameter = ecc
-    if edge_count != len(members) - components:
-        forest = False
-    return ClassCheck(len(members), forest, maxdeg, diameter)
+        comp, _ = _sweep(inside, s)
+        seen.update(comp)
+        if sum(len(inside[u]) for u in comp) == 2 * (len(comp) - 1):
+            ecc = _sweep(inside, comp[-1])[1]
+        else:
+            forest = False
+            ecc = max(_sweep(inside, root)[1] for root in comp)
+        if ecc > diameter:
+            diameter = ecc
+    return ClassCheck(len(members), forest, max_degree, diameter)
 
 
 def verify(g: Graph, coloring: TreeColoring, params: Params) -> VerificationReport:
@@ -157,20 +172,23 @@ def verify(g: Graph, coloring: TreeColoring, params: Params) -> VerificationRepo
 
     lo = g.n // t
     hi = math.ceil(g.n / t)
+    sizes = [len(members) for members in classes]
     first = ""
-    equitable = True
-    for c, members in enumerate(classes, start=1):
-        if not lo <= len(members) <= hi:
-            equitable = False
-            if not first:
-                first = (
-                    f"class {c} has size {len(members)}, "
-                    f"outside the equitable range [{lo}, {hi}]"
-                )
+    equitable = lo <= min(sizes) and max(sizes) <= hi
+    if not equitable:
+        c, size = next((c, size) for c, size in enumerate(sizes, start=1)
+                       if not lo <= size <= hi)
+        first = (
+            f"class {c} has size {size}, "
+            f"outside the equitable range [{lo}, {hi}]"
+        )
 
     checks: list[ClassCheck] = []
     verdict = equitable
     for c, members in enumerate(classes, start=1):
+        if len(members) <= 1:
+            checks.append(_TRIVIAL[len(members)])
+            continue
         check = _class_checks(g, members)
         checks.append(check)
         if not check.is_forest:

@@ -2,11 +2,16 @@
 
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from equitree import parse_edge_list
+from equitree import cli, parse_edge_list
 from equitree.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -299,3 +304,41 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as excinfo:
             main(["construct", "--graph", "x", "--t", "2", "--k", "wat"])
         assert excinfo.value.code == 2
+
+    def test_unexpected_exception_exits_70(self, capsys, monkeypatch):
+        def boom(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "_cmd_exact_va", boom)
+        code, out, err = run(capsys, "exact-va", "--knn", "5",
+                             "--variant", "11")
+        assert code == 70
+        assert out == ""
+        assert err == ("internal error: RecursionError: "
+                       "maximum recursion depth exceeded\n")
+
+
+def _readme_commands():
+    """Argument lists of every ``equitree ...`` line in README's sh blocks,
+    cut at the first shell redirection or pipe."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] != ["equitree"]:
+                continue
+            cut = next((i for i, w in enumerate(words) if w in (">", "|")),
+                       len(words))
+            commands.append(words[1:cut])
+    return commands
+
+
+def test_readme_has_commands_for_every_subcommand():
+    used = {argv[0] for argv in _readme_commands()}
+    assert used == {"gen", "construct", "verify", "feasible", "exact-va",
+                    "search", "cross-check"}
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv):
+    cli._build_parser().parse_args(argv)

@@ -1,10 +1,12 @@
 """Coloring model: parameters, verification semantics, certificates."""
 
 import random
+import time
 
 import pytest
 
 from equitree import (
+    ClassCheck,
     InputFormatError,
     Params,
     PreconditionError,
@@ -13,10 +15,13 @@ from equitree import (
     certificate_from_coloring,
     coloring_from_certificate,
     complete_bipartite,
+    component_diameter_max,
     cycle,
     graph_from_edges,
+    is_forest,
     maximal_outerplanar_random,
     path,
+    remove_vertices,
     verify,
 )
 
@@ -102,7 +107,8 @@ class TestVerify:
         g = path(3)
         rep = verify(g, TreeColoring((1, 2, 3), 5), Params(5))
         assert rep.verdict
-        assert [c.size for c in rep.classes] == [1, 1, 1, 0, 0]
+        assert rep.classes == (ClassCheck(1, True, 0, 0),) * 3 + (
+            ClassCheck(0, True, 0, 0),) * 2
 
     def test_per_class_measurements(self):
         g = path(4)
@@ -158,6 +164,66 @@ class TestVerify:
                     for u, v in g.edges()
                 )
                 assert verify(g, coloring, Params(t, 0, 0)).verdict == proper
+
+
+class TestClassCheckSemantics:
+    """What each ClassCheck field reports, pinned on small classes."""
+
+    def test_independent_set(self):
+        g = complete_bipartite(3)
+        rep = verify(g, TreeColoring((1, 1, 1, 2, 2, 2), 2), Params(2, 0, 0))
+        assert rep.verdict
+        assert rep.classes == (ClassCheck(3, True, 0, 0),) * 2
+
+    def test_bare_cycle_reports_its_diameter(self):
+        rep = verify(cycle(5), TreeColoring((1,) * 5, 1), Params(1))
+        assert rep.classes == (ClassCheck(5, False, 2, 2),)
+        assert rep.first_violation == "class 1 contains a cycle"
+
+    def test_cycle_with_pendant_path_reports_largest_eccentricity(self):
+        # C4 on 0..3 with the path 0-4-5-6 hanging off vertex 0: the far end
+        # 6 is five steps from 2, the vertex opposite 0 on the cycle.
+        g = graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0),
+                                 (0, 4), (4, 5), (5, 6)])
+        rep = verify(g, TreeColoring((1,) * 7, 1), Params(1))
+        assert rep.classes == (ClassCheck(7, False, 3, 5),)
+
+    def test_cyclic_and_tree_components_in_one_class(self):
+        # A triangle and a path on four vertices, plus an isolated vertex.
+        g = graph_from_edges(8, [(0, 1), (1, 2), (2, 0),
+                                 (3, 4), (4, 5), (5, 6)])
+        rep = verify(g, TreeColoring((1,) * 8, 1), Params(1))
+        assert rep.classes == (ClassCheck(8, False, 2, 3),)
+
+
+def _induced(g, members):
+    keep = set(members)
+    return remove_vertices(g, [v for v in range(g.n) if v not in keep])[0]
+
+
+def test_class_checks_match_independent_graph_queries():
+    """Every ClassCheck agrees with graph.py's own checkers on the induced
+    subgraph, on seeded random graphs dense enough to give cyclic classes."""
+    rng = random.Random(2024)
+    start = time.monotonic()
+    cyclic = 0
+    for _ in range(300):
+        n = rng.randint(1, 24)
+        p = rng.choice((0.05, 0.1, 0.2, 0.35))
+        g = graph_from_edges(n, [(u, v) for u in range(n)
+                                 for v in range(u + 1, n) if rng.random() < p])
+        t = rng.randint(1, 5)
+        coloring = TreeColoring(
+            tuple(rng.randint(1, t) for _ in range(n)), t)
+        rep = verify(g, coloring, Params(t))
+        for c, check in enumerate(rep.classes, start=1):
+            h = _induced(g, coloring.color_class(c))
+            assert check == ClassCheck(h.n, is_forest(h),
+                                       max(h.degrees(), default=0),
+                                       component_diameter_max(h))
+            cyclic += not check.is_forest
+    assert cyclic >= 50
+    assert time.monotonic() - start < 5.0
 
 
 class TestCertificates:
