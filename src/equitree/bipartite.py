@@ -14,17 +14,10 @@ a star, which in K_{n,n} means one-sided sets or one-plus-many mixed sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
-from .coloring import Params, TreeColoring, verify
+from .coloring import TreeColoring
 from .errors import InfeasibleVectorError, PreconditionError
-from .graph import UNBOUNDED, complete_bipartite
-
-
-@lru_cache(maxsize=4)
-def _knn(n: int):
-    return complete_bipartite(n)
 
 
 def _require_instance(n: int, q: int) -> None:
@@ -139,11 +132,7 @@ def realize_class_counts(n: int, q: int, ccv: ClassCountVector) -> TreeColoring:
                 py += 1
     while color < q:  # trailing empty classes exist only when a = 0
         color += 1
-    coloring = TreeColoring(tuple(colors), q)
-    if __debug__:
-        report = verify(_knn(n), coloring, Params(q, UNBOUNDED, 2))
-        assert report.verdict, report.first_violation
-    return coloring
+    return TreeColoring(tuple(colors), q)
 
 
 # ---- elementary constructions ----------------------------------------------
@@ -170,11 +159,7 @@ def even_t_coloring(n: int, t: int) -> TreeColoring:
             for _ in range(size):
                 colors[v] = first_color + j + 1
                 v += 1
-    coloring = TreeColoring(tuple(colors), t)
-    if __debug__:
-        report = verify(_knn(n), coloring, Params(t, 0, 0))
-        assert report.verdict, report.first_violation
-    return coloring
+    return TreeColoring(tuple(colors), t)
 
 
 def odd_q_11_coloring(n: int, q: int) -> TreeColoring:
@@ -215,11 +200,7 @@ def odd_q_11_coloring(n: int, q: int) -> TreeColoring:
     else:
         for v in range(2 * n):
             colors[v] = v + 1
-    coloring = TreeColoring(tuple(colors), q)
-    if __debug__:
-        report = verify(_knn(n), coloring, Params(q, 1, 1))
-        assert report.verdict, report.first_violation
-    return coloring
+    return TreeColoring(tuple(colors), q)
 
 
 # ---- the one-sided class-size equation --------------------------------------
@@ -263,13 +244,12 @@ def _pair_modulus(n: int, s: SolutionPair) -> int:
     return num // s.z
 
 
-def two_solution_coloring(n: int, k, d, s1: SolutionPair,
+def two_solution_coloring(n: int, s1: SolutionPair,
                           s2: SolutionPair) -> TreeColoring:
     """One-sided classes sized per s1 on side X and per s2 on side Y.
 
     Both pairs must solve the class-size equation for the same a.  All
-    classes are independent sets, so the coloring is valid for any caps;
-    the requested (k, d) is what the debug check runs against.
+    classes are independent sets, so the coloring is valid for any caps.
     """
     _require_instance(n, 1)
     a1 = _pair_modulus(n, s1)
@@ -290,11 +270,7 @@ def two_solution_coloring(n: int, k, d, s1: SolutionPair,
                 for _ in range(size):
                     colors[v] = color
                     v += 1
-    coloring = TreeColoring(tuple(colors), t)
-    if __debug__:
-        report = verify(_knn(n), coloring, Params(t, k, d))
-        assert report.verdict, report.first_violation
-    return coloring
+    return TreeColoring(tuple(colors), t)
 
 
 # ---- closed-form class counts for odd q ------------------------------------
@@ -487,7 +463,7 @@ def construct_knn_11(n: int, q: int) -> TreeColoring:
         for p in pairs:
             other = by_z.get(q - p.z)
             if other is not None:
-                return two_solution_coloring(n, 1, 1, p, other)
+                return two_solution_coloring(n, p, other)
     raise PreconditionError(
         f"K_{{{n},{n}}} has no equitable ({q},1,1)-tree-coloring"
     )
@@ -504,20 +480,25 @@ def construct_knn_inf2(n: int, q: int) -> TreeColoring:
     _require_instance(n, q)
     if q % 2 == 0:
         return even_t_coloring(n, q)
-    t = (isqrt(8 * n + 9) - 3) // 2
-    if 2 * ((t + 1) // 2) <= q < n:
-        try:
-            return realize_class_counts(n, q, odd_q_inf2_counts(n, q))
-        except InfeasibleVectorError:
-            pass
-    if q >= 2 * ((n + 1) // 3) + 1:
-        return odd_q_11_coloring(n, q)
-    witness = feasible_inf2(n, q)
-    if witness is not None:
-        return realize_class_counts(n, q, witness)
-    raise PreconditionError(
-        f"K_{{{n},{n}}} has no equitable ({q},inf,2)-tree-coloring"
-    )
+    return _counts_coloring(n, q, edge_fallback=True)
+
+
+def _counts_coloring(n: int, q: int, edge_fallback: bool = False) -> TreeColoring:
+    """Realize the closed-form class counts of odd_q_inf2_counts, else the
+    feasible_inf2 witness; with edge_fallback, odd q at or above the
+    disjoint-edge bound takes that construction before the witness.
+    """
+    try:
+        ccv = odd_q_inf2_counts(n, q)
+    except PreconditionError:
+        if edge_fallback and q >= 2 * ((n + 1) // 3) + 1:
+            return odd_q_11_coloring(n, q)
+        ccv = feasible_inf2(n, q)
+        if ccv is None:
+            raise PreconditionError(
+                f"K_{{{n},{n}}} has no equitable ({q},inf,2)-tree-coloring"
+            ) from None
+    return realize_class_counts(n, q, ccv)
 
 
 # ---- recognizing biclique inputs -------------------------------------------

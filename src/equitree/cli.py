@@ -14,22 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from .bipartite import (
-    construct_knn_11,
-    construct_knn_inf2,
-    detect_balanced_biclique,
-    even_t_coloring,
-    exact_va11,
-    exact_vainf2,
-    feasible_11,
-    feasible_inf2,
-    odd_q_11_coloring,
-    odd_q_inf2_counts,
-    realize_class_counts,
-    relabel_for_sides,
-)
+from .bipartite import exact_va11, exact_vainf2, feasible_11, feasible_inf2
 from .coloring import (
     Params,
     TreeColoring,
@@ -37,6 +25,7 @@ from .coloring import (
     coloring_from_certificate,
     verify,
 )
+from .dispatch import METHODS, construct
 from .errors import (
     ConfigurationNotFoundError,
     InputFormatError,
@@ -61,7 +50,6 @@ from .oracle import (
     brute_force_search,
     cross_check_bipartite,
 )
-from .sparse import color_girth5, color_girth6, color_outerplanar
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -150,89 +138,10 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _auto_biclique(n: int, params: Params) -> TreeColoring:
-    """Construction choice for K_{n,n}: parity first, then feasibility."""
-    t = params.t
-    if t % 2 == 0:
-        return even_t_coloring(n, t)
-    caps_allow_11 = (params.k == UNBOUNDED or params.k >= 1) and (
-        params.d == UNBOUNDED or params.d >= 1
-    )
-    if caps_allow_11 and feasible_11(n, t):
-        return construct_knn_11(n, t)
-    if params.d == UNBOUNDED or params.d >= 2:
-        return construct_knn_inf2(n, t)
-    raise PreconditionError(
-        f"K_{{{n},{n}}} admits no equitable ({t},{params.k},{params.d})"
-        "-tree-coloring by the matching-variant feasibility test"
-    )
-
-
-def _construct_coloring(g: Graph, params: Params, method: str) -> TreeColoring:
-    t = params.t
-    if method in ("even", "odd11", "classcounts"):
-        sides = detect_balanced_biclique(g)
-        if sides is None:
-            raise PreconditionError(
-                f"method {method!r} needs a balanced complete bipartite graph"
-            )
-        n = len(sides[0])
-        if method == "even":
-            base = even_t_coloring(n, t)
-        elif method == "odd11":
-            base = odd_q_11_coloring(n, t)
-        else:
-            try:
-                ccv = odd_q_inf2_counts(n, t)
-            except PreconditionError:
-                witness = feasible_inf2(n, t)
-                if witness is None:
-                    raise PreconditionError(
-                        f"K_{{{n},{n}}} has no equitable ({t},inf,2)"
-                        "-tree-coloring"
-                    ) from None
-                ccv = witness
-            base = realize_class_counts(n, t, ccv)
-        return relabel_for_sides(base, *sides)
-    if method == "girth5":
-        return color_girth5(g, t)
-    if method == "girth6":
-        return color_girth6(g, t)
-    if method == "outerplanar":
-        return color_outerplanar(g, t)
-
-    sides = detect_balanced_biclique(g)
-    if sides is not None:
-        return relabel_for_sides(_auto_biclique(len(sides[0]), params), *sides)
-    if t == 1:
-        # Only forests can take a single class; the caller verifies.
-        return TreeColoring((1,) * g.n, 1)
-    if params.k != UNBOUNDED or params.d != UNBOUNDED:
-        raise PreconditionError(
-            "finite degree or diameter caps are only supported for "
-            "balanced complete bipartite inputs"
-        )
-    if t == 2:
-        try:
-            return color_girth6(g, 2)
-        except (PreconditionError, ConfigurationNotFoundError):
-            return color_outerplanar(g, 2)
-    try:
-        return color_girth5(g, t)
-    except (PreconditionError, ConfigurationNotFoundError):
-        return color_outerplanar(g, t)
-
-
 def _cmd_construct(args) -> int:
     g = _load_graph(args.graph)
     params = Params(args.t, args.k, args.d)
-    coloring = _construct_coloring(g, params, args.method)
-    report = verify(g, coloring, params)
-    if not report.verdict:
-        raise PreconditionError(
-            "no supported construction meets the requested bounds: "
-            + report.first_violation
-        )
+    coloring = construct(g, params, args.method)
     print(json.dumps(certificate_from_coloring(coloring, params)))
     if args.emit_dot:
         _emit_dot(args.emit_dot, g, coloring)
@@ -248,36 +157,13 @@ def _cmd_verify(args) -> int:
             "verdict": report.verdict,
             "equitable": report.equitable,
             "first_violation": report.first_violation,
-            "classes": [
-                {
-                    "size": c.size,
-                    "is_forest": c.is_forest,
-                    "max_degree": c.max_degree,
-                    "diameter": c.diameter,
-                }
-                for c in report.classes
-            ],
+            "classes": [asdict(c) for c in report.classes],
         }))
     elif report.verdict:
         print("valid")
     else:
         print(f"invalid: {report.first_violation}")
     return EXIT_OK if report.verdict else EXIT_NEGATIVE
-
-
-def _witness_payload(witness) -> dict:
-    return {
-        "a": witness.a,
-        "r": witness.r,
-        "x1": witness.x1,
-        "x2": witness.x2,
-        "x1p": witness.x1p,
-        "x2p": witness.x2p,
-        "y1": witness.y1,
-        "y2": witness.y2,
-        "y1p": witness.y1p,
-        "y2p": witness.y2p,
-    }
 
 
 def _cmd_feasible(args) -> int:
@@ -290,13 +176,13 @@ def _cmd_feasible(args) -> int:
     if args.json:
         payload = {
             "feasible": ok,
-            "witness": _witness_payload(witness) if witness else None,
+            "witness": asdict(witness) if witness else None,
         }
         print(json.dumps(payload))
     else:
         print("feasible" if ok else "infeasible")
         if witness is not None:
-            print(json.dumps(_witness_payload(witness)))
+            print(json.dumps(asdict(witness)))
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -344,16 +230,7 @@ def _cmd_cross_check(args) -> int:
     if args.json:
         print(json.dumps({
             "checked": report.checked,
-            "disagreements": [
-                {
-                    "n": item.n,
-                    "q": item.q,
-                    "variant": item.variant,
-                    "oracle_status": item.oracle_status,
-                    "formula_feasible": item.formula_feasible,
-                }
-                for item in report.disagreements
-            ],
+            "disagreements": [asdict(item) for item in report.disagreements],
         }))
     else:
         print(f"checked {report.checked} instances, "
@@ -387,11 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     con.add_argument("--t", required=True, type=int)
     con.add_argument("--k", type=_parse_bound, default=UNBOUNDED)
     con.add_argument("--d", type=_parse_bound, default=UNBOUNDED)
-    con.add_argument(
-        "--method", default="auto",
-        choices=["auto", "even", "odd11", "classcounts", "girth5", "girth6",
-                 "outerplanar"],
-    )
+    con.add_argument("--method", default="auto", choices=METHODS)
     con.add_argument("--emit-dot")
     con.set_defaults(func=_cmd_construct)
 

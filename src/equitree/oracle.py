@@ -5,8 +5,8 @@ order, pruning on class-size caps, an unfillable-deficit bound, the
 structural checks (forest, degree cap, diameter cap) restricted to the
 component the new vertex joins, and optionally on color symmetry.  It is
 meant as ground truth against the closed-form feasibility predicates, so
-the pruning is deliberately conservative and every returned coloring is
-re-verified in debug runs.
+the pruning is deliberately conservative.  A tree component's diameter
+comes from the two BFS sweeps verify uses.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .bipartite import feasible_11, feasible_inf2
-from .coloring import Params, TreeColoring, verify
+from .coloring import Params, TreeColoring, _sweep
 from .errors import PreconditionError
 from .graph import UNBOUNDED, Graph, complete_bipartite
 
@@ -82,27 +82,12 @@ def brute_force_search(g: Graph, params: Params,
                     seen.add(w)
                     comp.append(w)
         inside = {u: g.adjacency[u] & seen for u in comp}
-        edge_twice = sum(len(nb) for nb in inside.values())
-        if edge_twice != 2 * (len(comp) - 1):
+        if sum(map(len, inside.values())) != 2 * (len(comp) - 1):
             return False
-        if params.k != UNBOUNDED:
-            if any(len(nb) > params.k for nb in inside.values()):
-                return False
-        if params.d != UNBOUNDED:
-            for root in comp:
-                dist = {root: 0}
-                frontier = [root]
-                while frontier:
-                    nxt = []
-                    for u in frontier:
-                        for w in inside[u]:
-                            if w not in dist:
-                                dist[w] = dist[u] + 1
-                                if dist[w] > params.d:
-                                    return False
-                                nxt.append(w)
-                    frontier = nxt
-        return True
+        if any(len(nb) > params.k for nb in inside.values()):
+            return False
+        # A tree: verify's two sweeps give its diameter.
+        return _sweep(inside, _sweep(inside, v)[0][-1])[1] <= params.d
 
     def descend(index: int, max_used: int) -> bool:
         if index == n:
@@ -144,11 +129,7 @@ def brute_force_search(g: Graph, params: Params,
         return SearchResult(BUDGET_EXCEEDED, None, state["nodes"])
     if not found:
         return SearchResult(INFEASIBLE, None, state["nodes"])
-    result = TreeColoring(tuple(colors), t)
-    if __debug__:
-        report = verify(g, result, params)
-        assert report.verdict, report.first_violation
-    return SearchResult(FEASIBLE, result, state["nodes"])
+    return SearchResult(FEASIBLE, TreeColoring(tuple(colors), t), state["nodes"])
 
 
 @dataclass(frozen=True)

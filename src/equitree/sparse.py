@@ -314,8 +314,7 @@ def extend_coloring(g: Graph, s: ExtensionSequence,
             f"inner coloring uses {inner.t} classes but the sequence has "
             f"{t} vertices"
         )
-    removed = set(s.vertices)
-    reduced, remap = remove_vertices(g, removed)
+    reduced, remap = remove_vertices(g, set(s.vertices))
     if inner.n != reduced.n:
         raise PreconditionError(
             "inner coloring does not cover the graph minus the sequence"
@@ -326,12 +325,17 @@ def extend_coloring(g: Graph, s: ExtensionSequence,
             "inner coloring is not an equitable tree-coloring: "
             + report.first_violation
         )
-    colors = [0] * g.n
-    for old, new in remap.items():
-        colors[old] = inner.colors[new]
+    return _extend(g, s.vertices, inner, remap)
+
+
+def _extend(g: Graph, vertices: tuple[int, ...], inner: TreeColoring,
+            remap: dict[int, int]) -> TreeColoring:
+    """extend_coloring without its input checks; remap is from remove_vertices."""
+    t = len(vertices)
+    colors = _lifted(g, inner, remap)
     for position in range(t, 0, -1):
-        v = s.vertices[position - 1]
-        later = {colors[s.vertices[j - 1]] for j in range(position + 1, t + 1)}
+        v = vertices[position - 1]
+        later = {colors[vertices[j - 1]] for j in range(position + 1, t + 1)}
         seen: dict[int, int] = {}
         for u in g.adjacency[v]:
             cu = colors[u]
@@ -342,17 +346,11 @@ def extend_coloring(g: Graph, s: ExtensionSequence,
                 colors[v] = c
                 break
         else:
-            raise AssertionError(
-                "no admissible color for a sequence vertex; the sequence "
-                "invariant must have been violated"
+            raise PreconditionError(
+                f"no admissible color for sequence vertex {v}; the sequence "
+                "is not extendable in this graph"
             )
-    result = TreeColoring(tuple(colors), t)
-    if __debug__:
-        check = verify(g, result, Params(t, UNBOUNDED, UNBOUNDED))
-        assert check.verdict, check.first_violation
-        on_s = [result.colors[v] for v in s.vertices]
-        assert len(set(on_s)) == len(on_s), "sequence colors must be distinct"
-    return result
+    return TreeColoring(tuple(colors), t)
 
 
 # ---- the shared recursion ---------------------------------------------------
@@ -417,9 +415,8 @@ def _girth5_recurse(g: Graph, t: int) -> TreeColoring:
         return _remove_recurse_readd(g, t, _girth5_recurse, removed, None)
     pins = _girth5_pins(cfg, t)
     seq = fill_sequence(g, pins, t)
-    reduced, _ = remove_vertices(g, set(seq.vertices))
-    inner = _girth5_recurse(reduced, t)
-    return extend_coloring(g, seq, inner)
+    reduced, remap = remove_vertices(g, set(seq.vertices))
+    return _extend(g, seq.vertices, _girth5_recurse(reduced, t), remap)
 
 
 def _low_partner(g: Graph, x: int, cap: int = 3) -> int:
@@ -449,9 +446,8 @@ def _girth6_recurse_two(g: Graph, t: int = 2) -> TreeColoring:
     else:
         pins = {1: cfg["x"], 2: cfg["y"]}
     seq = fill_sequence(g, pins, 2)
-    reduced, _ = remove_vertices(g, set(seq.vertices))
-    inner = _girth6_recurse_two(reduced)
-    return extend_coloring(g, seq, inner)
+    reduced, remap = remove_vertices(g, set(seq.vertices))
+    return _extend(g, seq.vertices, _girth6_recurse_two(reduced), remap)
 
 
 def _outerplanar_pins(g: Graph, cfg: Configuration) -> dict[int, int]:
@@ -473,9 +469,8 @@ def _outerplanar_recurse(g: Graph, t: int) -> TreeColoring:
     cfg = find_reducible_outerplanar(g)
     pins = _outerplanar_pins(g, cfg)
     seq = fill_sequence(g, pins, t)
-    reduced, _ = remove_vertices(g, set(seq.vertices))
-    inner = _outerplanar_recurse(reduced, t)
-    return extend_coloring(g, seq, inner)
+    reduced, remap = remove_vertices(g, set(seq.vertices))
+    return _extend(g, seq.vertices, _outerplanar_recurse(reduced, t), remap)
 
 
 # ---- public algorithms ------------------------------------------------------
@@ -490,11 +485,7 @@ def color_girth5(g: Graph, t: int) -> TreeColoring:
             f"edge count {g.m} violates the girth-5 planar bound "
             f"|E| <= 5(|V|-2)/3"
         )
-    result = _girth5_recurse(g, t)
-    if __debug__:
-        report = verify(g, result, Params(t, UNBOUNDED, UNBOUNDED))
-        assert report.verdict, report.first_violation
-    return result
+    return _girth5_recurse(g, t)
 
 
 def color_girth6(g: Graph, t: int) -> TreeColoring:
@@ -510,11 +501,7 @@ def color_girth6(g: Graph, t: int) -> TreeColoring:
             f"edge count {g.m} violates the girth-6 planar bound "
             f"|E| <= 3(|V|-2)/2"
         )
-    result = _girth6_recurse_two(g) if t == 2 else _girth5_recurse(g, t)
-    if __debug__:
-        report = verify(g, result, Params(t, UNBOUNDED, UNBOUNDED))
-        assert report.verdict, report.first_violation
-    return result
+    return _girth6_recurse_two(g) if t == 2 else _girth5_recurse(g, t)
 
 
 def color_outerplanar(g: Graph, t: int) -> TreeColoring:
@@ -527,8 +514,4 @@ def color_outerplanar(g: Graph, t: int) -> TreeColoring:
     """
     if t < 2:
         raise PreconditionError("color_outerplanar needs t >= 2")
-    result = _outerplanar_recurse(g, t)
-    if __debug__:
-        report = verify(g, result, Params(t, UNBOUNDED, UNBOUNDED))
-        assert report.verdict, report.first_violation
-    return result
+    return _outerplanar_recurse(g, t)

@@ -182,24 +182,24 @@ class TestOddQ11:
 class TestTwoSolution:
     def test_builds_from_two_pairs(self):
         s1, s2 = SolutionPair(1, 10), SolutionPair(5, 7)
-        coloring = two_solution_coloring(43, 1, 1, s1, s2)
+        coloring = two_solution_coloring(43, s1, s2)
         assert coloring.t == s1.z + s2.z == 23
         _check_11(43, 23, coloring)
 
     def test_same_pair_twice(self):
         s = SolutionPair(5, 7)
-        coloring = two_solution_coloring(43, 1, 1, s, s)
+        coloring = two_solution_coloring(43, s, s)
         assert coloring.t == 24
         _check_11(43, 24, coloring)
 
     def test_mismatched_moduli_rejected(self):
         with pytest.raises(PreconditionError):
-            two_solution_coloring(43, 1, 1, SolutionPair(1, 10),
+            two_solution_coloring(43, SolutionPair(1, 10),
                                   SolutionPair(2, 13))
 
     def test_unsolvable_pair_rejected(self):
         with pytest.raises(PreconditionError):
-            two_solution_coloring(43, 1, 1, SolutionPair(2, 10),
+            two_solution_coloring(43, SolutionPair(2, 10),
                                   SolutionPair(1, 10))
 
 

@@ -318,19 +318,32 @@ class TestErrorPaths:
                        "maximum recursion depth exceeded\n")
 
 
-def _readme_commands():
-    """Argument lists of every ``equitree ...`` line in README's sh blocks,
-    cut at the first shell redirection or pipe."""
-    commands = []
+def _readme_blocks():
+    """README's sh blocks in order, each a list of ``(argv, redirect
+    target or None, expected exit code)`` for its ``equitree ...`` lines.
+    A line's exit code is 0 unless its comment says ``exit code N``."""
+    blocks = []
     for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        commands = []
         for line in block.splitlines():
             words = shlex.split(line, comments=True)
             if words[:1] != ["equitree"]:
                 continue
             cut = next((i for i, w in enumerate(words) if w in (">", "|")),
                        len(words))
-            commands.append(words[1:cut])
-    return commands
+            target = words[cut + 1] if words[cut:cut + 1] == [">"] else None
+            expected = re.search(r"#.*exit code (\d+)", line)
+            commands.append((words[1:cut], target,
+                             int(expected.group(1)) if expected else 0))
+        if commands:
+            blocks.append(commands)
+    return blocks
+
+
+def _readme_commands():
+    """Argument lists of every ``equitree ...`` line in README's sh blocks,
+    cut at the first shell redirection or pipe."""
+    return [argv for block in _readme_blocks() for argv, _, _ in block]
 
 
 def test_readme_has_commands_for_every_subcommand():
@@ -342,3 +355,27 @@ def test_readme_has_commands_for_every_subcommand():
 @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
 def test_readme_command_parses(argv):
     cli._build_parser().parse_args(argv)
+
+
+def test_readme_blocks_run_in_order(tmp_path, capsys, monkeypatch):
+    """Every README command runs as written, in order, in one directory:
+    each exits as documented, reads only files an earlier command wrote,
+    and every file written by redirection is read by a later command."""
+    monkeypatch.chdir(tmp_path)
+    written, read = set(), set()
+    for block in _readme_blocks():
+        for argv, target, expected in block:
+            for flag in ("--graph", "--cert"):
+                if flag in argv:
+                    name = argv[argv.index(flag) + 1]
+                    assert name in written, (argv, f"{name} not written yet")
+                    read.add(name)
+            code, out, err = run(capsys, *argv)
+            assert code == expected, (argv, code, err)
+            if target is not None:
+                (tmp_path / target).write_text(out)
+                written.add(target)
+            if "--emit-dot" in argv:
+                dot = tmp_path / argv[argv.index("--emit-dot") + 1]
+                assert dot.read_text().startswith("graph coloring {")
+    assert written == read

@@ -1,0 +1,113 @@
+"""The library's construction entry point: method choice and its one verify."""
+
+import random
+
+import pytest
+
+from equitree import (
+    METHODS,
+    UNBOUNDED,
+    Params,
+    PreconditionError,
+    TreeColoring,
+    color_girth6,
+    color_outerplanar,
+    complete_bipartite,
+    component_diameter_max,
+    construct,
+    cycle,
+    dodecahedron,
+    feasible_11,
+    feasible_inf2,
+    graph_from_edges,
+    is_forest,
+    maximal_outerplanar_random,
+    path,
+    remove_vertices,
+)
+from equitree import cli, dispatch
+
+
+def _assert_valid(g, coloring, params):
+    """Check a coloring with graph.py's own queries, not with verify."""
+    assert coloring.t == params.t and coloring.n == g.n
+    sizes = coloring.class_sizes()
+    assert max(sizes) - min(sizes) <= 1
+    for c in range(1, params.t + 1):
+        keep = set(coloring.color_class(c))
+        h = remove_vertices(g, [v for v in range(g.n) if v not in keep])[0]
+        assert is_forest(h), c
+        assert max(h.degrees(), default=0) <= params.k, c
+        assert component_diameter_max(h) <= params.d, c
+
+
+def _relabeled_biclique(n, rng):
+    ids = list(range(2 * n))
+    rng.shuffle(ids)
+    g = complete_bipartite(n)
+    return graph_from_edges(2 * n, [(ids[u], ids[v]) for u, v in g.edges()])
+
+
+@pytest.mark.parametrize("n", [1, 5, 7, 12])
+def test_auto_on_relabeled_biclique(n):
+    g = _relabeled_biclique(n, random.Random(n))
+    for q in range(1, 2 * n + 3):
+        for params, feasible in (
+            (Params(q, 1, 1), feasible_11(n, q)),
+            (Params(q, UNBOUNDED, 2), feasible_inf2(n, q) is not None),
+        ):
+            if feasible:
+                _assert_valid(g, construct(g, params), params)
+            else:
+                with pytest.raises(PreconditionError):
+                    construct(g, params)
+
+
+def test_single_class_on_cycle_raises():
+    with pytest.raises(PreconditionError,
+                       match="no supported construction meets the requested "
+                             "bounds: class 1 contains a cycle"):
+        construct(cycle(5), Params(1))
+    g = path(6)
+    _assert_valid(g, construct(g, Params(1)), Params(1))
+
+
+def test_finite_caps_on_non_biclique_raise():
+    for params in (Params(3, 2), Params(3, UNBOUNDED, 4), Params(2, 1, 1)):
+        with pytest.raises(PreconditionError, match="finite degree or diameter"):
+            construct(dodecahedron(), params)
+
+
+def test_auto_two_classes_falls_back_to_outerplanar():
+    g = maximal_outerplanar_random(15, 4)
+    with pytest.raises(PreconditionError):
+        color_girth6(g, 2)
+    coloring = construct(g, Params(2))
+    assert coloring == color_outerplanar(g, 2)
+    _assert_valid(g, coloring, Params(2))
+
+
+def test_explicit_method_on_non_biclique_raises():
+    for method in ("even", "odd11", "classcounts"):
+        with pytest.raises(PreconditionError, match="balanced complete"):
+            construct(cycle(6), Params(2), method)
+
+
+def test_unknown_method_raises():
+    with pytest.raises(PreconditionError, match="unknown method"):
+        construct(path(4), Params(2), "greedy")
+
+
+def test_failed_verdict_raises(monkeypatch):
+    monkeypatch.setattr(dispatch, "color_outerplanar",
+                        lambda g, t: TreeColoring((1,) * g.n, t))
+    with pytest.raises(PreconditionError,
+                       match="class 1 has size 4, outside the equitable range"):
+        construct(path(4), Params(2), "outerplanar")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_accepted_by_cli_parser(method):
+    args = cli._build_parser().parse_args(
+        ["construct", "--graph", "g.txt", "--t", "2", "--method", method])
+    assert args.method == method

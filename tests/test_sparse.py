@@ -237,6 +237,12 @@ class TestExtendColoring:
         with pytest.raises(PreconditionError):
             extend_coloring(star, seq, TreeColoring((1, 2), 3))
 
+    def test_sequence_from_another_graph_rejected(self):
+        star = graph_from_edges(6, [(0, 2), (0, 3), (0, 4), (0, 5)])
+        seq = ExtensionSequence(path(6), (0, 1))
+        with pytest.raises(PreconditionError, match="not extendable"):
+            extend_coloring(star, seq, TreeColoring((1, 1, 2, 2), 2))
+
 
 class TestColorGirth5:
     def test_dodecahedron_range(self):
