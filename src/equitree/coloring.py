@@ -50,7 +50,12 @@ class TreeColoring:
     def __post_init__(self) -> None:
         if isinstance(self.t, bool) or not isinstance(self.t, int) or self.t < 1:
             raise InputFormatError("t must be an int >= 1")
-        for v, c in enumerate(self.colors):
+        colors = self.colors
+        # The common case at C speed; the loop below only finds the culprit.
+        if not colors or (set(map(type, colors)) == {int}
+                          and 1 <= min(colors) and max(colors) <= self.t):
+            return
+        for v, c in enumerate(colors):
             if isinstance(c, bool) or not isinstance(c, int) or not 1 <= c <= self.t:
                 raise InputFormatError(
                     f"vertex {v} has color {c!r}, outside 1..{self.t}"

@@ -1,10 +1,21 @@
-"""Recursive equitable tree-colorings for sparse graphs.
+"""Equitable tree-colorings for sparse graphs, by one iterative peel.
 
 The three public algorithms (planar girth >= 5, planar girth >= 6,
-outerplanar) share one engine: find a small reducible configuration,
-reserve its vertices at fixed positions of a deletion sequence, fill the
-remaining positions with low-degree vertices, color the reduced graph
-recursively, then extend the coloring back one vertex at a time.
+outerplanar) share one engine.  It keeps the residual graph, the part not
+yet peeled, as neighbor sets and degree buckets on the original vertex
+ids, and runs in three phases:
+
+1. Peel: find a small reducible configuration, reserve its vertices at
+   fixed positions of a deletion sequence, fill the remaining positions
+   with low-degree vertices, delete the sequence and record it.  A hub
+   configuration is deleted together with some of its 2-neighbors
+   instead, to be re-inserted two per class.
+2. Give the at most t vertices left distinct colors in id order.
+3. Walk the recorded steps backwards, extending the coloring one step at
+   a time.
+
+Each step is one level of the paper's induction; no graph is rebuilt per
+step and nothing recurses, so the depth of the peel is not limited.
 
 A sequence v1..vt is extendable when every v_i has at most 2i-1 neighbors
 outside the sequence.  Coloring v_t first and walking down, v_i always
@@ -20,9 +31,10 @@ ConfigurationNotFoundError surfaces instead of a wrong coloring.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .coloring import Params, TreeColoring, verify
 from .errors import (
@@ -85,117 +97,139 @@ class ExtensionSequence:
         return len(self.vertices)
 
 
+# ---- the residual graph -----------------------------------------------------
+
+
+class _Residual:
+    """The vertices of a graph not yet peeled, on the graph's own ids.
+
+    ``adj[v]`` and ``deg[v]`` of a live vertex count live neighbors only,
+    and ``by_degree[d]`` holds the live vertices of degree d.  A deleted
+    vertex keeps its neighbor set, so deletions undone in reverse order
+    restore the residual exactly.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.graph = g
+        self.adj = [set(nbrs) for nbrs in g.adjacency]
+        self.deg = g.degrees()
+        self.by_degree: list[set[int]] = [
+            set() for _ in range(max(self.deg, default=0) + 1)
+        ]
+        for v, d in enumerate(self.deg):
+            self.by_degree[d].add(v)
+        self.size = g.n
+
+    def delete(self, v: int) -> None:
+        adj, deg, by_degree = self.adj, self.deg, self.by_degree
+        by_degree[deg[v]].remove(v)
+        for u in adj[v]:
+            adj[u].remove(v)
+            d = deg[u]
+            by_degree[d].remove(u)
+            by_degree[d - 1].add(u)
+            deg[u] = d - 1
+        self.size -= 1
+
+    def restore(self, v: int) -> None:
+        adj, deg, by_degree = self.adj, self.deg, self.by_degree
+        for u in adj[v]:
+            adj[u].add(v)
+            d = deg[u]
+            by_degree[d].remove(u)
+            by_degree[d + 1].add(u)
+            deg[u] = d + 1
+        by_degree[deg[v]].add(v)
+        self.size += 1
+
+    def with_degree(self, *degrees: int) -> set[int]:
+        """Live vertices whose degree is one of the given values."""
+        by_degree = self.by_degree
+        return set().union(*(by_degree[d] for d in degrees if d < len(by_degree)))
+
+    def live(self) -> list[int]:
+        return sorted(self.with_degree(*range(len(self.by_degree))))
+
+
 # ---- configuration finders --------------------------------------------------
 
 
-def find_reducible_girth5(g: Graph) -> Configuration:
-    """Locate a reducible pattern guaranteed in the girth >= 5 planar class.
-
-    Searched in order, lowest vertex id first: a vertex of degree <= 1; a
-    2-vertex with a neighbor of degree <= 6; a 3-vertex with a neighbor of
-    degree <= 4 and a second neighbor of degree <= 6; a vertex of degree
-    i in {7, 8, 9} with at least i-1 neighbors of degree 2.
-    """
-    deg = g.degrees()
-    for v in range(g.n):
-        if deg[v] <= 1:
-            return Configuration(LOW_VERTEX, {"x": v})
-    for v in range(g.n):
-        if deg[v] == 2:
-            light = [u for u in sorted(g.adjacency[v]) if deg[u] <= 6]
-            if light:
-                return Configuration(DEGREE_TWO_LINK, {"x": v, "y": light[0]})
-    for v in range(g.n):
-        if deg[v] == 3:
-            nbrs = sorted(g.adjacency[v])
-            fours = [u for u in nbrs if deg[u] <= 4]
-            sixes = [u for u in nbrs if deg[u] <= 6]
-            if fours and len(sixes) >= 2:
-                y = fours[0]
-                z = min(u for u in sixes if u != y)
-                return Configuration(
-                    DEGREE_THREE_LINK, {"x": v, "y": y, "z": z}
-                )
-    for v in range(g.n):
-        if deg[v] in (7, 8, 9):
-            twos = [u for u in sorted(g.adjacency[v]) if deg[u] == 2]
-            if len(twos) >= deg[v] - 1:
-                return Configuration(
-                    TWO_NEIGHBOR_HUB,
-                    {"x": v, "degree": deg[v], "twos": tuple(twos)},
-                )
+def _find_girth5(res: _Residual) -> Configuration:
+    deg, adj = res.deg, res.adj
+    low = res.with_degree(0, 1)
+    if low:
+        return Configuration(LOW_VERTEX, {"x": min(low)})
+    for v in sorted(res.with_degree(2)):
+        light = [u for u in sorted(adj[v]) if deg[u] <= 6]
+        if light:
+            return Configuration(DEGREE_TWO_LINK, {"x": v, "y": light[0]})
+    for v in sorted(res.with_degree(3)):
+        nbrs = sorted(adj[v])
+        fours = [u for u in nbrs if deg[u] <= 4]
+        sixes = [u for u in nbrs if deg[u] <= 6]
+        if fours and len(sixes) >= 2:
+            y = fours[0]
+            z = min(u for u in sixes if u != y)
+            return Configuration(DEGREE_THREE_LINK, {"x": v, "y": y, "z": z})
+    for v in sorted(res.with_degree(7, 8, 9)):
+        twos = [u for u in sorted(adj[v]) if deg[u] == 2]
+        if len(twos) >= deg[v] - 1:
+            return Configuration(
+                TWO_NEIGHBOR_HUB, {"x": v, "degree": deg[v], "twos": tuple(twos)}
+            )
     raise ConfigurationNotFoundError(
         "no reducible configuration found; the graph is outside the "
         "girth >= 5 planar class this algorithm covers"
     )
 
 
-def find_reducible_girth6(g: Graph) -> Configuration:
-    """Reducible pattern for the girth >= 6 planar class.
-
-    Order: a vertex of degree <= 1; a 2-vertex with a neighbor of degree
-    <= 4; a 5-vertex whose neighbors are five 2-vertices.
-    """
-    deg = g.degrees()
-    for v in range(g.n):
-        if deg[v] <= 1:
-            return Configuration(LOW_VERTEX, {"x": v})
-    for v in range(g.n):
-        if deg[v] == 2:
-            light = [u for u in sorted(g.adjacency[v]) if deg[u] <= 4]
-            if light:
-                return Configuration(DEGREE_TWO_LINK, {"x": v, "y": light[0]})
-    for v in range(g.n):
-        if deg[v] == 5:
-            twos = [u for u in sorted(g.adjacency[v]) if deg[u] == 2]
-            if len(twos) == 5:
-                return Configuration(
-                    TWO_NEIGHBOR_HUB,
-                    {"x": v, "degree": 5, "twos": tuple(twos)},
-                )
+def _find_girth6(res: _Residual) -> Configuration:
+    deg, adj = res.deg, res.adj
+    low = res.with_degree(0, 1)
+    if low:
+        return Configuration(LOW_VERTEX, {"x": min(low)})
+    for v in sorted(res.with_degree(2)):
+        light = [u for u in sorted(adj[v]) if deg[u] <= 4]
+        if light:
+            return Configuration(DEGREE_TWO_LINK, {"x": v, "y": light[0]})
+    for v in sorted(res.with_degree(5)):
+        twos = [u for u in sorted(adj[v]) if deg[u] == 2]
+        if len(twos) == 5:
+            return Configuration(
+                TWO_NEIGHBOR_HUB, {"x": v, "degree": 5, "twos": tuple(twos)}
+            )
     raise ConfigurationNotFoundError(
         "no reducible configuration found; the graph is outside the "
         "girth >= 6 planar class this algorithm covers"
     )
 
 
-def find_reducible_outerplanar(g: Graph) -> Configuration:
-    """Reducible pattern for outerplanar graphs.
-
-    Order: a vertex of degree <= 1; two adjacent 2-vertices; a triangle
-    containing a 2-vertex and a 3-vertex; two triangles sharing a
-    4-vertex, each with its own 2-vertex; finally any edge xy with
-    d(x) = 2 and d(y) <= 4, which subsumes the richer patterns.
-    """
-    deg = g.degrees()
-    for v in range(g.n):
-        if deg[v] <= 1:
-            return Configuration(LOW_VERTEX, {"x": v})
-    for u in range(g.n):
-        if deg[u] != 2:
-            continue
-        for v in sorted(g.adjacency[u]):
-            if deg[v] == 2:
-                return Configuration(ADJACENT_TWO_PAIR, {"u": u, "v": v})
-    for u in range(g.n):
-        if deg[u] != 2:
-            continue
-        a, b = sorted(g.adjacency[u])
-        if g.has_edge(a, b):
+def _find_outerplanar(res: _Residual) -> Configuration:
+    deg, adj = res.deg, res.adj
+    low = res.with_degree(0, 1)
+    if low:
+        return Configuration(LOW_VERTEX, {"x": min(low)})
+    two_set = res.with_degree(2)
+    twos = sorted(two_set)
+    for u in twos:
+        pair = adj[u] & two_set
+        if pair:
+            return Configuration(ADJACENT_TWO_PAIR, {"u": u, "v": min(pair)})
+    for u in twos:
+        a, b = sorted(adj[u])
+        if b in adj[a]:
             for v, w in ((a, b), (b, a)):
                 if deg[v] == 3:
                     return Configuration(
                         TRIANGLE_WITH_TWO, {"u": u, "v": v, "w": w}
                     )
-    for w in range(g.n):
-        if deg[w] != 4:
-            continue
-        nbrs = sorted(g.adjacency[w])
+    for w in sorted(res.with_degree(4)):
+        nbrs = sorted(adj[w])
         pairs = [
             (p, q)
             for i, p in enumerate(nbrs)
             for q in nbrs[i + 1:]
-            if g.has_edge(p, q)
+            if q in adj[p]
         ]
         for p1, q1 in pairs:
             for p2, q2 in pairs:
@@ -212,10 +246,8 @@ def find_reducible_outerplanar(g: Graph) -> Configuration:
                         TWIN_TRIANGLES,
                         {"u": u, "v": v, "w": w, "x": x, "y": y},
                     )
-    for x in range(g.n):
-        if deg[x] != 2:
-            continue
-        light = [u for u in sorted(g.adjacency[x]) if deg[u] <= 4]
+    for x in twos:
+        light = [u for u in sorted(adj[x]) if deg[u] <= 4]
         if light:
             return Configuration(REDUCIBLE_EDGE, {"x": x, "y": light[0]})
     raise ConfigurationNotFoundError(
@@ -224,7 +256,115 @@ def find_reducible_outerplanar(g: Graph) -> Configuration:
     )
 
 
+def find_reducible_girth5(g: Graph) -> Configuration:
+    """Locate a reducible pattern guaranteed in the girth >= 5 planar class.
+
+    Searched in order, lowest vertex id first: a vertex of degree <= 1; a
+    2-vertex with a neighbor of degree <= 6; a 3-vertex with a neighbor of
+    degree <= 4 and a second neighbor of degree <= 6; a vertex of degree
+    i in {7, 8, 9} with at least i-1 neighbors of degree 2.
+    """
+    return _find_girth5(_Residual(g))
+
+
+def find_reducible_girth6(g: Graph) -> Configuration:
+    """Reducible pattern for the girth >= 6 planar class.
+
+    Order: a vertex of degree <= 1; a 2-vertex with a neighbor of degree
+    <= 4; a 5-vertex whose neighbors are five 2-vertices.
+    """
+    return _find_girth6(_Residual(g))
+
+
+def find_reducible_outerplanar(g: Graph) -> Configuration:
+    """Reducible pattern for outerplanar graphs.
+
+    Order: a vertex of degree <= 1; two adjacent 2-vertices; a triangle
+    containing a 2-vertex and a 3-vertex; two triangles sharing a
+    4-vertex, each with its own 2-vertex; finally any edge xy with
+    d(x) = 2 and d(y) <= 4, which subsumes the richer patterns.
+    """
+    return _find_outerplanar(_Residual(g))
+
+
+def _low_partner(res: _Residual, x: int) -> int:
+    """Lowest-id vertex besides x with at most 3 neighbors off {x, itself}."""
+    lows = []
+    for pool in (*res.by_degree[:4], res.with_degree(4) & res.adj[x]):
+        if x in pool:
+            pool = pool - {x}
+        if pool:
+            lows.append(min(pool))
+    if not lows:
+        raise ConfigurationNotFoundError(
+            f"no vertex of residual degree <= 3 remains after removing {x}"
+        )
+    return min(lows)
+
+
 # ---- building and extending sequences ---------------------------------------
+
+
+def _options(res: _Residual, pinned: Mapping[int, int],
+             position: int) -> Iterator[int]:
+    """Candidates for one position of a sequence, in the order fill tries them.
+
+    A pinned position has its pin.  Otherwise: live vertices other than
+    the pins below whose neighbors, not counting those pins, number at
+    most 2i-1, by degree and then id.  Every vertex of degree at most 2i-1
+    qualifies; above that, only a neighbor of the pins below can.  A
+    degree bucket is sorted only when the search reaches it.
+    """
+    if position in pinned:
+        yield pinned[position]
+        return
+    cap = 2 * position - 1
+    below = {w for pos, w in pinned.items() if pos < position}
+    adj, deg, by_degree = res.adj, res.deg, res.by_degree
+    near = set().union(*(adj[w] for w in below)) - below
+    fits = {u for u in near if deg[u] - len(adj[u] & below) <= cap}
+    for d in range(min(cap + len(below), len(by_degree) - 1) + 1):
+        yield from sorted(by_degree[d] - below if d <= cap else by_degree[d] & fits)
+
+
+def _fill(res: _Residual, pinned: Mapping[int, int], t: int) -> tuple[int, ...]:
+    """fill_sequence on the residual, which loses the vertices it returns.
+
+    A chosen vertex is deleted from the residual at once, so a vertex's
+    degree there is its count of neighbors not yet chosen; backtracking
+    restores it.  One candidate iterator per position stands in for a
+    call stack.
+    """
+    slots = [0] * t
+    budget = _FILL_BUDGET
+    above: list[Iterator[int]] = []
+    position = t
+    options = _options(res, pinned, position)
+    while True:
+        v = next(options, None)
+        if v is None:
+            if position == t:
+                raise NoLowDegreeVertexError(
+                    "no assignment of low-degree vertices completes the sequence"
+                )
+            position += 1
+            res.restore(slots[position - 1])
+            options = above.pop()
+            continue
+        if position not in pinned:
+            budget -= 1
+            if budget < 0:
+                raise NoLowDegreeVertexError(
+                    "ran out of low-degree candidates while filling the "
+                    "deletion sequence"
+                )
+        slots[position - 1] = v
+        res.delete(v)
+        if position == 1:
+            return tuple(slots)
+        above.append(options)
+        position -= 1
+        options = _options(res, pinned, position)
 
 
 def fill_sequence(g: Graph, pinned: Mapping[int, int], t: int) -> ExtensionSequence:
@@ -248,54 +388,29 @@ def fill_sequence(g: Graph, pinned: Mapping[int, int], t: int) -> ExtensionSeque
             raise PreconditionError(f"pinned vertex {v} out of range")
     if len(set(pinned.values())) != len(pinned):
         raise PreconditionError("pinned vertices must be distinct")
+    return ExtensionSequence(g, _fill(_Residual(g), pinned, t))
 
-    slots: list[int | None] = [None] * t
-    chosen: set[int] = set()
-    budget = _FILL_BUDGET
 
-    def attempt(position: int) -> bool:
-        nonlocal budget
-        if position == 0:
-            return True
-        if position in pinned:
-            v = pinned[position]
-            slots[position - 1] = v
-            chosen.add(v)
-            if attempt(position - 1):
-                return True
-            chosen.remove(v)
-            return False
-        cap = 1 if position == 1 else 2 * position - 1
-        pins_below = {
-            w for pos, w in pinned.items() if pos < position and w not in chosen
-        }
-        ranked = []
-        for v in range(g.n):
-            if v in chosen or v in pins_below:
-                continue
-            remaining = g.adjacency[v] - chosen
-            if len(remaining - pins_below) <= cap:
-                ranked.append((len(remaining), v))
-        ranked.sort()
-        for _, v in ranked:
-            budget -= 1
-            if budget < 0:
-                raise NoLowDegreeVertexError(
-                    "ran out of low-degree candidates while filling the "
-                    "deletion sequence"
-                )
-            slots[position - 1] = v
-            chosen.add(v)
-            if attempt(position - 1):
-                return True
-            chosen.remove(v)
-        return False
-
-    if not attempt(t):
-        raise NoLowDegreeVertexError(
-            "no assignment of low-degree vertices completes the sequence"
-        )
-    return ExtensionSequence(g, tuple(slots))  # type: ignore[arg-type]
+def _extend(adjacency: Sequence[frozenset[int]], colors: list[int],
+            vertices: tuple[int, ...], t: int) -> None:
+    """Color the sequence vertices in colors, in place; 0 means uncolored."""
+    later: set[int] = set()
+    for v in reversed(vertices):
+        seen: dict[int, int] = {}
+        for u in adjacency[v]:
+            cu = colors[u]
+            if cu:
+                seen[cu] = seen.get(cu, 0) + 1
+        for c in range(1, t + 1):
+            if c not in later and seen.get(c, 0) <= 1:
+                colors[v] = c
+                later.add(c)
+                break
+        else:
+            raise PreconditionError(
+                f"no admissible color for sequence vertex {v}; the sequence "
+                "is not extendable in this graph"
+            )
 
 
 def extend_coloring(g: Graph, s: ExtensionSequence,
@@ -325,73 +440,89 @@ def extend_coloring(g: Graph, s: ExtensionSequence,
             "inner coloring is not an equitable tree-coloring: "
             + report.first_violation
         )
-    return _extend(g, s.vertices, inner, remap)
-
-
-def _extend(g: Graph, vertices: tuple[int, ...], inner: TreeColoring,
-            remap: dict[int, int]) -> TreeColoring:
-    """extend_coloring without its input checks; remap is from remove_vertices."""
-    t = len(vertices)
-    colors = _lifted(g, inner, remap)
-    for position in range(t, 0, -1):
-        v = vertices[position - 1]
-        later = {colors[vertices[j - 1]] for j in range(position + 1, t + 1)}
-        seen: dict[int, int] = {}
-        for u in g.adjacency[v]:
-            cu = colors[u]
-            if cu:
-                seen[cu] = seen.get(cu, 0) + 1
-        for c in range(1, t + 1):
-            if c not in later and seen.get(c, 0) <= 1:
-                colors[v] = c
-                break
-        else:
-            raise PreconditionError(
-                f"no admissible color for sequence vertex {v}; the sequence "
-                "is not extendable in this graph"
-            )
-    return TreeColoring(tuple(colors), t)
-
-
-# ---- the shared recursion ---------------------------------------------------
-
-
-def _distinct_coloring(g: Graph, t: int) -> TreeColoring:
-    return TreeColoring(tuple(range(1, g.n + 1)), t)
-
-
-def _lifted(g: Graph, inner: TreeColoring, remap: dict[int, int]) -> list[int]:
     colors = [0] * g.n
     for old, new in remap.items():
         colors[old] = inner.colors[new]
-    return colors
+    _extend(g.adjacency, colors, s.vertices, t)
+    return TreeColoring(tuple(colors), t)
 
 
-def _remove_recurse_readd(g: Graph, t: int, recurse: Callable,
-                          removed: list[int],
-                          primer: tuple[int, ...] | None) -> TreeColoring:
-    """Delete 2t vertices, color the rest, then re-insert two per class.
+# ---- hub steps --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Reinsertion:
+    """A peel step that deletes 2t vertices and re-inserts two per class.
+
+    ``level`` is the residual graph when the step was taken, relabeled, and
+    ``ids`` the original id of each of its vertices.
+    """
+
+    removed: tuple[int, ...]
+    primer: tuple[int, ...] | None
+    level: Graph
+    ids: list[int]
+
+
+def _remove_for_reinsertion(res: _Residual, removed: list[int],
+                            primer: tuple[int, ...] | None) -> _Reinsertion:
+    ids = res.live()
+    level, _ = remove_vertices(res.graph, set(range(res.graph.n)).difference(ids))
+    for v in removed:
+        res.delete(v)
+    return _Reinsertion(tuple(removed), primer, level, ids)
+
+
+def _reinsert(step: _Reinsertion, colors: list[int], t: int) -> None:
+    """Color the removed vertices, two per class, so that the level verifies.
 
     Tries the primer assignment first, then every balanced assignment of
     the removed vertices (each color used exactly twice) in sorted order,
-    returning the first one the verifier accepts.
+    keeping the first one the verifier accepts.
     """
-    reduced, remap = remove_vertices(g, set(removed))
-    inner = recurse(reduced, t)
-    base = _lifted(g, inner, remap)
+    base = [colors[v] for v in step.ids]
+    where = [bisect_left(step.ids, v) for v in step.removed]
     balanced = sorted(set(permutations(sum(([c] * 2 for c in range(1, t + 1)), []))))
-    trials = [primer] if primer is not None else []
-    trials.extend(a for a in balanced if a != primer)
+    trials = [step.primer] if step.primer is not None else []
+    trials.extend(a for a in balanced if a != step.primer)
     for assignment in trials:
-        colors = list(base)
-        for v, c in zip(removed, assignment):
-            colors[v] = c
-        candidate = TreeColoring(tuple(colors), t)
-        if verify(g, candidate, Params(t, UNBOUNDED, UNBOUNDED)).verdict:
-            return candidate
+        level_colors = list(base)
+        for i, c in zip(where, assignment):
+            level_colors[i] = c
+        candidate = TreeColoring(tuple(level_colors), t)
+        if verify(step.level, candidate, Params(t, UNBOUNDED, UNBOUNDED)).verdict:
+            for v, c in zip(step.removed, assignment):
+                colors[v] = c
+            return
     raise ConfigurationNotFoundError(
         "no balanced re-insertion of the removed hub vertices verifies"
     )
+
+
+# ---- the peel engine --------------------------------------------------------
+
+_Step = Union[tuple[int, ...], _Reinsertion]
+
+
+def _peel(g: Graph, t: int, level: Callable[[_Residual, int], _Step]) -> TreeColoring:
+    """Peel g down to at most t vertices with level, then color it back up.
+
+    level takes one step on the residual: it deletes the vertices it
+    peels and returns their deletion sequence or their re-insertion.
+    """
+    res = _Residual(g)
+    steps: list[_Step] = []
+    while res.size > t:
+        steps.append(level(res, t))
+    colors = [0] * g.n
+    for c, v in enumerate(res.live(), start=1):
+        colors[v] = c
+    for step in reversed(steps):
+        if isinstance(step, _Reinsertion):
+            _reinsert(step, colors, t)
+        else:
+            _extend(g.adjacency, colors, step, t)
+    return TreeColoring(tuple(colors), t)
 
 
 def _girth5_pins(cfg: Configuration, t: int) -> dict[int, int]:
@@ -406,54 +537,31 @@ def _girth5_pins(cfg: Configuration, t: int) -> dict[int, int]:
     return {1: twos[0], 2: twos[1], t: cfg["x"]}
 
 
-def _girth5_recurse(g: Graph, t: int) -> TreeColoring:
-    if g.n <= t:
-        return _distinct_coloring(g, t)
-    cfg = find_reducible_girth5(g)
+def _girth5_level(res: _Residual, t: int) -> _Step:
+    cfg = _find_girth5(res)
     if cfg.kind == TWO_NEIGHBOR_HUB and cfg["degree"] in (8, 9) and t == 3:
-        removed = [cfg["x"], *cfg["twos"][:5]]
-        return _remove_recurse_readd(g, t, _girth5_recurse, removed, None)
-    pins = _girth5_pins(cfg, t)
-    seq = fill_sequence(g, pins, t)
-    reduced, remap = remove_vertices(g, set(seq.vertices))
-    return _extend(g, seq.vertices, _girth5_recurse(reduced, t), remap)
+        return _remove_for_reinsertion(res, [cfg["x"], *cfg["twos"][:5]], None)
+    return _fill(res, _girth5_pins(cfg, t), t)
 
 
-def _low_partner(g: Graph, x: int, cap: int = 3) -> int:
-    """Lowest-id vertex besides x with at most cap neighbors off {x, itself}."""
-    for w in range(g.n):
-        if w == x:
-            continue
-        effective = len(g.adjacency[w] - {x})
-        if effective <= cap:
-            return w
-    raise ConfigurationNotFoundError(
-        f"no vertex of residual degree <= {cap} remains after removing {x}"
-    )
-
-
-def _girth6_recurse_two(g: Graph, t: int = 2) -> TreeColoring:
-    if g.n <= 2:
-        return _distinct_coloring(g, 2)
-    cfg = find_reducible_girth6(g)
+def _girth6_level(res: _Residual, t: int) -> _Step:
+    """One step of the two-class algorithm; t is always 2."""
+    cfg = _find_girth6(res)
     if cfg.kind == TWO_NEIGHBOR_HUB:
-        removed = [cfg["x"], *cfg["twos"][:3]]
-        return _remove_recurse_readd(
-            g, 2, lambda h, _t: _girth6_recurse_two(h), removed, (2, 2, 1, 1)
+        return _remove_for_reinsertion(
+            res, [cfg["x"], *cfg["twos"][:3]], (2, 2, 1, 1)
         )
     if cfg.kind == LOW_VERTEX:
-        pins = {1: cfg["x"], 2: _low_partner(g, cfg["x"])}
+        pins = {1: cfg["x"], 2: _low_partner(res, cfg["x"])}
     else:
         pins = {1: cfg["x"], 2: cfg["y"]}
-    seq = fill_sequence(g, pins, 2)
-    reduced, remap = remove_vertices(g, set(seq.vertices))
-    return _extend(g, seq.vertices, _girth6_recurse_two(reduced), remap)
+    return _fill(res, pins, 2)
 
 
-def _outerplanar_pins(g: Graph, cfg: Configuration) -> dict[int, int]:
+def _outerplanar_pins(res: _Residual, cfg: Configuration) -> dict[int, int]:
     kind = cfg.kind
     if kind == LOW_VERTEX:
-        return {1: cfg["x"], 2: _low_partner(g, cfg["x"])}
+        return {1: cfg["x"], 2: _low_partner(res, cfg["x"])}
     if kind == ADJACENT_TWO_PAIR:
         return {1: cfg["u"], 2: cfg["v"]}
     if kind == TRIANGLE_WITH_TWO:
@@ -463,14 +571,8 @@ def _outerplanar_pins(g: Graph, cfg: Configuration) -> dict[int, int]:
     return {1: cfg["x"], 2: cfg["y"]}
 
 
-def _outerplanar_recurse(g: Graph, t: int) -> TreeColoring:
-    if g.n <= t:
-        return _distinct_coloring(g, t)
-    cfg = find_reducible_outerplanar(g)
-    pins = _outerplanar_pins(g, cfg)
-    seq = fill_sequence(g, pins, t)
-    reduced, remap = remove_vertices(g, set(seq.vertices))
-    return _extend(g, seq.vertices, _outerplanar_recurse(reduced, t), remap)
+def _outerplanar_level(res: _Residual, t: int) -> _Step:
+    return _fill(res, _outerplanar_pins(res, _find_outerplanar(res)), t)
 
 
 # ---- public algorithms ------------------------------------------------------
@@ -485,14 +587,14 @@ def color_girth5(g: Graph, t: int) -> TreeColoring:
             f"edge count {g.m} violates the girth-5 planar bound "
             f"|E| <= 5(|V|-2)/3"
         )
-    return _girth5_recurse(g, t)
+    return _peel(g, t, _girth5_level)
 
 
 def color_girth6(g: Graph, t: int) -> TreeColoring:
     """Equitable t-tree-coloring of a planar graph with girth >= 6, t >= 2.
 
     For t >= 3 the girth-5 machinery already covers this sparser class;
-    the dedicated two-class recursion handles t = 2.
+    the dedicated two-class peel handles t = 2.
     """
     if t < 2:
         raise PreconditionError("color_girth6 needs t >= 2")
@@ -501,17 +603,17 @@ def color_girth6(g: Graph, t: int) -> TreeColoring:
             f"edge count {g.m} violates the girth-6 planar bound "
             f"|E| <= 3(|V|-2)/2"
         )
-    return _girth6_recurse_two(g) if t == 2 else _girth5_recurse(g, t)
+    return _peel(g, 2, _girth6_level) if t == 2 else _peel(g, t, _girth5_level)
 
 
 def color_outerplanar(g: Graph, t: int) -> TreeColoring:
     """Equitable t-tree-coloring of an outerplanar graph, t >= 2.
 
-    Outerplanarity is trusted.  Every level pins two configuration
+    Outerplanarity is trusted.  Every step pins two configuration
     vertices at positions 1 and 2 and fills the rest greedily; an
     outerplanar graph always has at least three vertices of degree at
     most 3, so the greedy fill has candidates even with two reserved.
     """
     if t < 2:
         raise PreconditionError("color_outerplanar needs t >= 2")
-    return _outerplanar_recurse(g, t)
+    return _peel(g, t, _outerplanar_level)

@@ -56,6 +56,23 @@ class TestTreeColoring:
         with pytest.raises(InputFormatError):
             TreeColoring((True, 1), 2)
 
+    @pytest.mark.parametrize("colors, message", [
+        ((1, 2, True), "vertex 2 has color True, outside 1..3"),
+        ((1, 0, 2), "vertex 1 has color 0, outside 1..3"),
+        ((3, 1, 4, 2), "vertex 2 has color 4, outside 1..3"),
+        ((1, 2.0), "vertex 1 has color 2.0, outside 1..3"),
+    ])
+    def test_first_bad_color_named(self, colors, message):
+        with pytest.raises(InputFormatError) as info:
+            TreeColoring(colors, 3)
+        assert str(info.value) == message
+
+    def test_int_subclass_colors_accepted(self):
+        class Color(int):
+            pass
+
+        assert TreeColoring((Color(1), 2), 2).colors == (1, 2)
+
     def test_class_queries(self):
         c = TreeColoring((1, 2, 1, 3), 3)
         assert c.n == 4

@@ -1,5 +1,9 @@
 """Configuration finders, deletion sequences, extension, sparse algorithms."""
 
+import random
+import sys
+from itertools import permutations
+
 import pytest
 
 from equitree import (
@@ -33,9 +37,10 @@ from equitree import (
     hex_grid,
     maximal_outerplanar_random,
     path,
+    remove_vertices,
     verify,
 )
-from equitree.sparse import _girth5_recurse, _girth6_recurse_two
+from equitree.sparse import _girth5_level, _girth6_level, _peel
 
 
 def _biclique(a, b):
@@ -200,6 +205,69 @@ class TestFillSequence:
             fill_sequence(path(5), {1: 0, 2: 0}, 2)
 
 
+def _reference_fill(g, pinned, t, budget=20000):
+    """fill_sequence as a scan of every vertex at every position."""
+    slots = [None] * t
+    chosen = set()
+
+    def attempt(position):
+        nonlocal budget
+        if position == 0:
+            return True
+        if position in pinned:
+            slots[position - 1] = pinned[position]
+            chosen.add(pinned[position])
+            if attempt(position - 1):
+                return True
+            chosen.remove(pinned[position])
+            return False
+        below = {w for pos, w in pinned.items() if pos < position}
+        ranked = sorted(
+            (len(g.adjacency[v] - chosen), v) for v in range(g.n)
+            if v not in chosen and v not in below
+            and len(g.adjacency[v] - chosen - below) <= 2 * position - 1
+        )
+        for _, v in ranked:
+            budget -= 1
+            if budget < 0:
+                raise NoLowDegreeVertexError("budget")
+            slots[position - 1] = v
+            chosen.add(v)
+            if attempt(position - 1):
+                return True
+            chosen.remove(v)
+        return False
+
+    if not attempt(t):
+        raise NoLowDegreeVertexError("no assignment")
+    return tuple(slots)
+
+
+def test_fill_matches_full_scan_reference():
+    rng = random.Random(5)
+    outcomes = set()
+    for case in range(400):
+        n = rng.randint(2, 16)
+        g = graph_from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                                 if rng.random() < rng.choice((0.2, 0.4, 0.7))])
+        t = rng.randint(1, min(n, 6))
+        spots = rng.sample(range(1, t + 1), rng.randint(0, min(t, 3)))
+        pinned = dict(zip(spots, rng.sample(range(n), len(spots))))
+        outcome = []
+        for fill in (lambda: ExtensionSequence(g, _reference_fill(g, pinned, t)),
+                     lambda: fill_sequence(g, pinned, t)):
+            try:
+                outcome.append(fill().vertices)
+            except NoLowDegreeVertexError:
+                outcome.append(None)
+            except PreconditionError:
+                # A pin can break the bound of the position it was given.
+                outcome.append("pin")
+        assert outcome[0] == outcome[1], (case, pinned, t)
+        outcomes.add(outcome[0] if outcome[0] in (None, "pin") else "seq")
+    assert outcomes == {None, "pin", "seq"}
+
+
 class TestExtendColoring:
     def test_star_worked_example(self):
         star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -217,7 +285,6 @@ class TestExtendColoring:
     def test_sequence_colors_always_distinct(self):
         g = maximal_outerplanar_random(9, 3)
         seq = fill_sequence(g, {}, 3)
-        from equitree import remove_vertices
         reduced, _ = remove_vertices(g, set(seq.vertices))
         inner = color_outerplanar(reduced, 3)
         result = extend_coloring(g, seq, inner)
@@ -270,7 +337,7 @@ class TestColorGirth5:
         g = _biclique(2, 8)
         cfg = find_reducible_girth5(g)
         assert cfg.kind == TWO_NEIGHBOR_HUB and cfg["degree"] == 8
-        result = _girth5_recurse(g, 3)
+        result = _peel(g, 3, _girth5_level)
         rep = verify(g, result, Params(3))
         assert rep.verdict, rep.first_violation
 
@@ -278,7 +345,7 @@ class TestColorGirth5:
         g = _biclique(2, 9)
         cfg = find_reducible_girth5(g)
         assert cfg.kind == TWO_NEIGHBOR_HUB and cfg["degree"] == 9
-        result = _girth5_recurse(g, 3)
+        result = _peel(g, 3, _girth5_level)
         assert verify(g, result, Params(3)).verdict
 
     def test_deterministic(self):
@@ -310,7 +377,7 @@ class TestColorGirth6:
         # K_{2,5} is too dense for the public gate but its hub pattern
         # drives the two-class remove-and-readd branch directly.
         g = _biclique(2, 5)
-        result = _girth6_recurse_two(g)
+        result = _peel(g, 2, _girth6_level)
         rep = verify(g, result, Params(2))
         assert rep.verdict, rep.first_violation
 
@@ -352,3 +419,142 @@ class TestColorOuterplanar:
         g = cycle(5)
         result = color_outerplanar(g, 8)
         assert sorted(result.class_sizes()) == [0, 0, 0, 1, 1, 1, 1, 1]
+
+
+# ---- the recursion the peel engine replaced, rebuilt from public pieces ----
+
+
+def _reference_low_partner(g, x):
+    return next(w for w in range(g.n)
+                if w != x and len(g.adjacency[w] - {x}) <= 3)
+
+
+def _reference_extend(g, pins, t, recurse):
+    seq = fill_sequence(g, pins, t)
+    reduced, _ = remove_vertices(g, set(seq.vertices))
+    return extend_coloring(g, seq, recurse(reduced))
+
+
+def _reference_readd(g, t, removed, primer, recurse):
+    reduced, remap = remove_vertices(g, set(removed))
+    inner = recurse(reduced)
+    base = [0] * g.n
+    for old, new in remap.items():
+        base[old] = inner.colors[new]
+    balanced = sorted(set(permutations([c for c in range(1, t + 1)
+                                        for _ in range(2)])))
+    trials = ([primer] if primer else []) + [a for a in balanced if a != primer]
+    for assignment in trials:
+        colors = list(base)
+        for v, c in zip(removed, assignment):
+            colors[v] = c
+        candidate = TreeColoring(tuple(colors), t)
+        if verify(g, candidate, Params(t)).verdict:
+            return candidate
+    raise AssertionError("no balanced re-insertion verifies")
+
+
+def _reference_girth5(g, t):
+    if g.n <= t:
+        return TreeColoring(tuple(range(1, g.n + 1)), t)
+    cfg = find_reducible_girth5(g)
+    again = lambda h: _reference_girth5(h, t)  # noqa: E731
+    if cfg.kind == TWO_NEIGHBOR_HUB and cfg["degree"] in (8, 9) and t == 3:
+        return _reference_readd(g, t, [cfg["x"], *cfg["twos"][:5]], None, again)
+    if cfg.kind == LOW_VERTEX:
+        pins = {1: cfg["x"]}
+    elif cfg.kind == DEGREE_TWO_LINK:
+        pins = {1: cfg["x"], t: cfg["y"]}
+    elif cfg.kind == DEGREE_THREE_LINK:
+        pins = {1: cfg["x"], 2: cfg["y"], t: cfg["z"]}
+    else:
+        pins = {1: cfg["twos"][0], 2: cfg["twos"][1], t: cfg["x"]}
+    return _reference_extend(g, pins, t, again)
+
+
+def _reference_girth6_two(g):
+    if g.n <= 2:
+        return TreeColoring(tuple(range(1, g.n + 1)), 2)
+    cfg = find_reducible_girth6(g)
+    if cfg.kind == TWO_NEIGHBOR_HUB:
+        return _reference_readd(g, 2, [cfg["x"], *cfg["twos"][:3]],
+                                (2, 2, 1, 1), _reference_girth6_two)
+    if cfg.kind == LOW_VERTEX:
+        pins = {1: cfg["x"], 2: _reference_low_partner(g, cfg["x"])}
+    else:
+        pins = {1: cfg["x"], 2: cfg["y"]}
+    return _reference_extend(g, pins, 2, _reference_girth6_two)
+
+
+def _reference_outerplanar(g, t):
+    if g.n <= t:
+        return TreeColoring(tuple(range(1, g.n + 1)), t)
+    cfg = find_reducible_outerplanar(g)
+    if cfg.kind == LOW_VERTEX:
+        pins = {1: cfg["x"], 2: _reference_low_partner(g, cfg["x"])}
+    elif cfg.kind == TWIN_TRIANGLES:
+        pins = {1: cfg["u"], 2: cfg["w"]}
+    elif cfg.kind in (ADJACENT_TWO_PAIR, TRIANGLE_WITH_TWO):
+        pins = {1: cfg["u"], 2: cfg["v"]}
+    else:
+        pins = {1: cfg["x"], 2: cfg["y"]}
+    return _reference_extend(g, pins, t,
+                             lambda h: _reference_outerplanar(h, t))
+
+
+class TestPeelMatchesRecursion:
+    """The peel engine returns exactly what the per-level recursion did."""
+
+    def test_outerplanar(self):
+        for seed in range(3):
+            for n in (5, 12, 20, 33, 47, 60):
+                g = maximal_outerplanar_random(n, seed)
+                for t in (2, 3, 7):
+                    assert (color_outerplanar(g, t).colors
+                            == _reference_outerplanar(g, t).colors), (n, seed, t)
+
+    def test_hex_grids(self):
+        for rows in range(1, 5):
+            for cols in range(1, 5):
+                g = hex_grid(rows, cols)
+                assert (color_girth6(g, 2).colors
+                        == _reference_girth6_two(g).colors), (rows, cols)
+                assert (color_girth6(g, 3).colors
+                        == _reference_girth5(g, 3).colors), (rows, cols)
+
+    def test_dodecahedron(self):
+        g = dodecahedron()
+        for t in range(3, 9):
+            assert color_girth5(g, t).colors == _reference_girth5(g, t).colors, t
+
+    def test_hub_reinsertions(self):
+        for b in (8, 9):
+            g = _biclique(2, b)
+            assert (_peel(g, 3, _girth5_level).colors
+                    == _reference_girth5(g, 3).colors), b
+        g = _biclique(2, 5)
+        assert (_peel(g, 2, _girth6_level).colors
+                == _reference_girth6_two(g).colors)
+
+
+class TestPeelDepth:
+    """No level of the peel or of the fill takes a stack frame."""
+
+    @pytest.mark.parametrize("family", ["path", "maximal_outerplanar"])
+    def test_five_thousand_vertices(self, family):
+        g = path(5000) if family == "path" else maximal_outerplanar_random(5000, 0)
+        assert verify(g, color_outerplanar(g, 2), Params(2)).verdict
+
+    def test_long_sequence_fill(self):
+        g = maximal_outerplanar_random(2000, 1)
+        assert verify(g, color_outerplanar(g, 1200), Params(1200)).verdict
+
+    def test_runs_under_a_low_recursion_limit(self):
+        g = maximal_outerplanar_random(600, 2)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            result = color_outerplanar(g, 3)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert verify(g, result, Params(3)).verdict
