@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import AbstractSet, Any, Mapping, Sequence, Union
 
 from .errors import InputFormatError, PreconditionError
 from .graph import UNBOUNDED, Graph
@@ -107,7 +107,11 @@ class VerificationReport:
 _TRIVIAL = (ClassCheck(0, True, 0, 0), ClassCheck(1, True, 0, 0))
 
 
-def _sweep(inside: dict[int, frozenset[int]], root: int) -> tuple[list[int], int]:
+# A class's induced adjacency: a dict by vertex, or a list indexed by vertex.
+_Inside = Union[Mapping[int, AbstractSet[int]], Sequence[AbstractSet[int]]]
+
+
+def _sweep(inside: _Inside, root: int) -> tuple[list[int], int]:
     """BFS within a class: the vertices reached in BFS order and root's eccentricity.
 
     The last vertex of the order is one farthest from root.
@@ -123,12 +127,23 @@ def _sweep(inside: dict[int, frozenset[int]], root: int) -> tuple[list[int], int
     return order, dist[order[-1]]
 
 
+def _measure(inside: _Inside, root: int) -> tuple[list[int], int | None]:
+    """The component of root within a class and its diameter, None if it has a cycle.
+
+    A component with one edge fewer than vertices is a tree, whose diameter
+    two sweeps find exactly.
+    """
+    comp, _ = _sweep(inside, root)
+    if sum(len(inside[u]) for u in comp) != 2 * (len(comp) - 1):
+        return comp, None
+    return comp, _sweep(inside, comp[-1])[1]
+
+
 def _class_checks(g: Graph, members: list[int]) -> ClassCheck:
     """Measure a class of two or more vertices in time linear in its induced size.
 
-    A component with one edge fewer than vertices is a tree, whose diameter
-    two sweeps find exactly; only a component with a cycle pays a sweep from
-    every vertex.
+    Each component goes through _measure; only a component with a cycle
+    pays a sweep from every vertex, for the reported diameter.
     """
     mset = set(members)
     adjacency = g.adjacency
@@ -143,11 +158,9 @@ def _class_checks(g: Graph, members: list[int]) -> ClassCheck:
     for s in members:
         if s in seen or not inside[s]:
             continue
-        comp, _ = _sweep(inside, s)
+        comp, ecc = _measure(inside, s)
         seen.update(comp)
-        if sum(len(inside[u]) for u in comp) == 2 * (len(comp) - 1):
-            ecc = _sweep(inside, comp[-1])[1]
-        else:
+        if ecc is None:
             forest = False
             ecc = max(_sweep(inside, root)[1] for root in comp)
         if ecc > diameter:

@@ -5,8 +5,9 @@ order, pruning on class-size caps, an unfillable-deficit bound, the
 structural checks (forest, degree cap, diameter cap) restricted to the
 component the new vertex joins, and optionally on color symmetry.  It is
 meant as ground truth against the closed-form feasibility predicates, so
-the pruning is deliberately conservative.  A tree component's diameter
-comes from the two BFS sweeps verify uses.
+the pruning is deliberately conservative.  The search is one loop over
+an explicit index, so its depth is not limited, and it measures a
+component through verify's kernel, coloring._measure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .bipartite import feasible_11, feasible_inf2
-from .coloring import Params, TreeColoring, _sweep
+from .coloring import Params, TreeColoring, _measure
 from .errors import PreconditionError
 from .graph import UNBOUNDED, Graph, complete_bipartite
 
@@ -32,7 +33,8 @@ class SearchBudget:
     time_cap: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.max_nodes < 1 or self.time_cap <= 0:
+        # Written so that a NaN time cap fails too.
+        if self.max_nodes < 1 or not self.time_cap > 0:
             raise PreconditionError("search budget must be positive")
 
 
@@ -41,10 +43,6 @@ class SearchResult:
     status: str
     coloring: TreeColoring | None = None
     nodes: int = 0
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 def brute_force_search(g: Graph, params: Params,
@@ -59,77 +57,75 @@ def brute_force_search(g: Graph, params: Params,
     """
     if budget is None:
         budget = SearchBudget()
-    n, t = g.n, params.t
+    n, t, k, d = g.n, params.t, params.k, params.d
     if n == 0:
         return SearchResult(FEASIBLE, TreeColoring((), t), 0)
+    adjacency = g.adjacency
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     lo, hi = n // t, -(-n // t)
     full_allowed = n % t
     colors = [0] * n
     sizes = [0] * (t + 1)
-    state = {"nodes": 0, "deficit": t * lo, "at_cap": 0}
+    # same[v]: the colored neighbors of v in v's class.
+    same: list[set[int]] = [set() for _ in range(n)]
+    # used[i]: the largest color among the first i vertices of the order.
+    used = [0] * (n + 1)
+    nodes, deficit, at_cap = 0, t * lo, 0
     deadline = time.monotonic() + budget.time_cap
-
-    def component_ok(v: int, c: int) -> bool:
-        """Check the class-c component of v after the tentative assignment."""
-        if not any(colors[u] == c for u in g.adjacency[v]):
-            return True
-        comp = [v]
-        seen = {v}
-        for u in comp:
-            for w in g.adjacency[u]:
-                if colors[w] == c and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        inside = {u: g.adjacency[u] & seen for u in comp}
-        if sum(map(len, inside.values())) != 2 * (len(comp) - 1):
-            return False
-        if any(len(nb) > params.k for nb in inside.values()):
-            return False
-        # A tree: verify's two sweeps give its diameter.
-        return _sweep(inside, _sweep(inside, v)[0][-1])[1] <= params.d
-
-    def descend(index: int, max_used: int) -> bool:
-        if index == n:
-            return True
+    index = 0
+    while index < n:
+        # The color counter of this index is the color its vertex holds;
+        # take it back, then try the next one.
         v = order[index]
-        top = t if not symmetry else min(t, max_used + 1)
-        remaining_after = n - index - 1
-        for c in range(1, top + 1):
-            if sizes[c] >= hi:
-                continue
-            if full_allowed and sizes[c] == hi - 1 and state["at_cap"] == full_allowed:
-                continue
-            state["nodes"] += 1
-            if state["nodes"] > budget.max_nodes:
-                raise _BudgetExhausted
-            if state["nodes"] % 1024 == 0 and time.monotonic() > deadline:
-                raise _BudgetExhausted
-            was_below = sizes[c] < lo
-            colors[v] = c
-            sizes[c] += 1
-            if was_below:
-                state["deficit"] -= 1
+        c = colors[v]
+        if c:
+            for u in same[v]:
+                same[u].remove(v)
+            same[v].clear()
             if full_allowed and sizes[c] == hi:
-                state["at_cap"] += 1
-            ok = state["deficit"] <= remaining_after and component_ok(v, c)
-            if ok and descend(index + 1, max(max_used, c)):
-                return True
-            if full_allowed and sizes[c] == hi:
-                state["at_cap"] -= 1
-            if was_below:
-                state["deficit"] += 1
+                at_cap -= 1
             sizes[c] -= 1
+            if sizes[c] < lo:
+                deficit += 1
             colors[v] = 0
-        return False
-
-    try:
-        found = descend(0, 0)
-    except _BudgetExhausted:
-        return SearchResult(BUDGET_EXCEEDED, None, state["nodes"])
-    if not found:
-        return SearchResult(INFEASIBLE, None, state["nodes"])
-    return SearchResult(FEASIBLE, TreeColoring(tuple(colors), t), state["nodes"])
+        top = min(t, used[index] + 1) if symmetry else t
+        c += 1
+        while c <= top and (sizes[c] >= hi or (
+                full_allowed and sizes[c] == hi - 1 and at_cap == full_allowed)):
+            c += 1
+        if c > top:
+            index -= 1
+            if index < 0:
+                return SearchResult(INFEASIBLE, None, nodes)
+            continue
+        nodes += 1
+        if nodes > budget.max_nodes or (
+                nodes % 1024 == 0 and time.monotonic() > deadline):
+            return SearchResult(BUDGET_EXCEEDED, None, nodes)
+        if sizes[c] < lo:
+            deficit -= 1
+        colors[v] = c
+        sizes[c] += 1
+        if full_allowed and sizes[c] == hi:
+            at_cap += 1
+        if deficit > n - index - 1:
+            continue
+        # Every accepted partial coloring meets the caps, so only v and its
+        # new class neighbors can break the degree cap, and only v's
+        # component can hold a cycle or exceed the diameter cap.
+        mates = same[v]
+        mates.update(u for u in adjacency[v] if colors[u] == c)
+        if mates:
+            for u in mates:
+                same[u].add(v)
+            if len(mates) > k or any(len(same[u]) > k for u in mates):
+                continue
+            diameter = _measure(same, v)[1]
+            if diameter is None or diameter > d:
+                continue
+        used[index + 1] = max(used[index], c)
+        index += 1
+    return SearchResult(FEASIBLE, TreeColoring(tuple(colors), t), nodes)
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,11 @@ ConfigurationNotFoundError surfaces instead of a wrong coloring.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
-from .coloring import Params, TreeColoring, verify
+from .coloring import Params, TreeColoring, _class_checks, verify
 from .errors import (
     ConfigurationNotFoundError,
     NoLowDegreeVertexError,
@@ -110,7 +109,6 @@ class _Residual:
     """
 
     def __init__(self, g: Graph) -> None:
-        self.graph = g
         self.adj = [set(nbrs) for nbrs in g.adjacency]
         self.deg = g.degrees()
         self.by_degree: list[set[int]] = [
@@ -452,45 +450,38 @@ def extend_coloring(g: Graph, s: ExtensionSequence,
 
 @dataclass(frozen=True)
 class _Reinsertion:
-    """A peel step that deletes 2t vertices and re-inserts two per class.
-
-    ``level`` is the residual graph when the step was taken, relabeled, and
-    ``ids`` the original id of each of its vertices.
-    """
+    """A peel step that deletes 2t vertices and re-inserts two per class."""
 
     removed: tuple[int, ...]
     primer: tuple[int, ...] | None
-    level: Graph
-    ids: list[int]
 
 
 def _remove_for_reinsertion(res: _Residual, removed: list[int],
                             primer: tuple[int, ...] | None) -> _Reinsertion:
-    ids = res.live()
-    level, _ = remove_vertices(res.graph, set(range(res.graph.n)).difference(ids))
     for v in removed:
         res.delete(v)
-    return _Reinsertion(tuple(removed), primer, level, ids)
+    return _Reinsertion(tuple(removed), primer)
 
 
-def _reinsert(step: _Reinsertion, colors: list[int], t: int) -> None:
-    """Color the removed vertices, two per class, so that the level verifies.
+def _reinsert(g: Graph, step: _Reinsertion, colors: list[int], t: int) -> None:
+    """Color the removed vertices, two per class, so that every class is a forest.
 
     Tries the primer assignment first, then every balanced assignment of
     the removed vertices (each color used exactly twice) in sorted order,
-    keeping the first one the verifier accepts.
+    keeping the first one that leaves every class a forest.  The colored
+    vertices are exactly those live after the step, colored equitably, so
+    two more per class keeps the coloring equitable.
     """
-    base = [colors[v] for v in step.ids]
-    where = [bisect_left(step.ids, v) for v in step.removed]
+    classes: list[list[int]] = [[] for _ in range(t + 1)]
+    for v, c in enumerate(colors):
+        classes[c].append(v)
     balanced = sorted(set(permutations(sum(([c] * 2 for c in range(1, t + 1)), []))))
     trials = [step.primer] if step.primer is not None else []
     trials.extend(a for a in balanced if a != step.primer)
     for assignment in trials:
-        level_colors = list(base)
-        for i, c in zip(where, assignment):
-            level_colors[i] = c
-        candidate = TreeColoring(tuple(level_colors), t)
-        if verify(step.level, candidate, Params(t, UNBOUNDED, UNBOUNDED)).verdict:
+        if all(_class_checks(g, classes[c] + [v for v, a in zip(step.removed, assignment)
+                                              if a == c]).is_forest
+               for c in range(1, t + 1)):
             for v, c in zip(step.removed, assignment):
                 colors[v] = c
             return
@@ -519,7 +510,7 @@ def _peel(g: Graph, t: int, level: Callable[[_Residual, int], _Step]) -> TreeCol
         colors[v] = c
     for step in reversed(steps):
         if isinstance(step, _Reinsertion):
-            _reinsert(step, colors, t)
+            _reinsert(g, step, colors, t)
         else:
             _extend(g.adjacency, colors, step, t)
     return TreeColoring(tuple(colors), t)

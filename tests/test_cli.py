@@ -238,6 +238,24 @@ class TestSearch:
         assert payload["certificate"] is None
 
 
+    def test_no_depth_limit(self, tmp_path, capsys):
+        graph_file = tmp_path / "p1500.txt"
+        _, out, _ = run(capsys, "gen", "--family", "path", "--n", "1500")
+        graph_file.write_text(out)
+        code, out, err = run(capsys, "search", "--graph", str(graph_file),
+                             "--t", "1")
+        assert code == 0, err
+        assert json.loads(out)["colors"] == [1] * 1500
+
+    def test_nan_time_cap_rejected(self, tmp_path, capsys):
+        graph_file = tmp_path / "p4.txt"
+        _, out, _ = run(capsys, "gen", "--family", "path", "--n", "4")
+        graph_file.write_text(out)
+        code, _, _ = run(capsys, "search", "--graph", str(graph_file),
+                         "--t", "2", "--time-cap", "nan")
+        assert code == 65
+
+
 class TestCrossCheckCommand:
     def test_clean_window(self, capsys):
         code, out, _ = run(capsys, "cross-check", "--nmax", "3",

@@ -1,6 +1,8 @@
 """Exhaustive search oracle and formula cross-checking."""
 
+import itertools
 import random
+import sys
 
 import pytest
 
@@ -15,11 +17,30 @@ from equitree import (
     brute_force_search,
     complete_bipartite,
     cross_check_bipartite,
+    component_diameter_max,
     cycle,
     graph_from_edges,
+    is_forest,
+    max_degree,
     path,
+    remove_vertices,
     verify,
 )
+
+
+def _reference_ok(g, colors, params):
+    """Equitable, and every class a forest within the caps, by graph.py alone."""
+    n, t = g.n, params.t
+    sizes = [colors.count(c) for c in range(1, t + 1)]
+    if not (n // t <= min(sizes) and max(sizes) <= -(-n // t)):
+        return False
+    for c in range(1, t + 1):
+        h, _ = remove_vertices(g, [v for v in range(n) if colors[v] != c])
+        if not is_forest(h) or max_degree(h) > params.k:
+            return False
+        if component_diameter_max(h) > params.d:
+            return False
+    return True
 
 
 class TestBruteForce:
@@ -82,6 +103,8 @@ class TestBruteForce:
             SearchBudget(0, 1.0)
         with pytest.raises(PreconditionError):
             SearchBudget(10, 0.0)
+        with pytest.raises(PreconditionError):
+            SearchBudget(10, float("nan"))
 
     def test_symmetry_pruning_preserves_verdict(self):
         """The symmetry-reduced search must agree with the raw search."""
@@ -102,6 +125,47 @@ class TestBruteForce:
                 raw = brute_force_search(g, params, symmetry=False)
                 assert pruned.status == raw.status, (g.n, params)
                 assert pruned.nodes <= raw.nodes
+
+    def test_matches_exhaustive_reference(self):
+        """Every assignment, checked by graph.py, gives the oracle's verdict."""
+        rng = random.Random(2012)
+        caps = [0, 1, 2, UNBOUNDED]
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < 0.5]
+            g = graph_from_edges(n, edges)
+            params = Params(rng.randint(1, 3), rng.choice(caps), rng.choice(caps))
+            expected = any(
+                _reference_ok(g, list(colors), params)
+                for colors in itertools.product(range(1, params.t + 1), repeat=n)
+            )
+            for symmetry in (True, False):
+                result = brute_force_search(g, params, symmetry=symmetry)
+                assert result.status == (FEASIBLE if expected else INFEASIBLE), (
+                    edges, params, symmetry)
+                if expected:
+                    assert _reference_ok(g, list(result.coloring.colors), params)
+
+
+class TestDepth:
+    """The search takes no stack frame per vertex."""
+
+    def test_long_path(self):
+        result = brute_force_search(path(1500), Params(1))
+        assert result.status == FEASIBLE
+        assert result.nodes == 1500
+
+    def test_runs_under_a_low_recursion_limit(self):
+        g = path(400)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            result = brute_force_search(g, Params(2))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result.status == FEASIBLE
+        assert verify(g, result.coloring, Params(2)).verdict
 
 
 class TestCrossCheck:
