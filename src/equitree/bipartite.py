@@ -9,6 +9,12 @@ Two parameter variants are decided exactly.  Variant "11" (degree cap 1,
 diameter cap 1) forces every class to be a one-sided set or a single edge.
 Variant "inf2" (no degree cap, diameter cap 2) forces every class to induce
 a star, which in K_{n,n} means one-sided sets or one-plus-many mixed sets.
+
+Every construction describes its coloring as a list of class shapes
+(count, from X, from Y): count classes, each taking that many vertices from
+side X and from side Y.  One function, _layout, turns the list into colors:
+it consumes each side left to right and numbers the classes 1..q in shape
+order; colors past the last shape are empty classes.
 """
 
 from __future__ import annotations
@@ -25,6 +31,19 @@ def _require_instance(n: int, q: int) -> None:
         raise PreconditionError("side size n must be >= 1")
     if q < 1:
         raise PreconditionError("class count q must be >= 1")
+
+
+def _layout(q: int, shapes) -> TreeColoring:
+    """Color K_{n,n} from (count, from X, from Y) class shapes, in order."""
+    xs: list[int] = []
+    ys: list[int] = []
+    color = 1
+    for count, nx, ny in shapes:
+        block = list(range(color, color + count))
+        xs += sorted(block * nx)
+        ys += sorted(block * ny)
+        color += count
+    return TreeColoring(tuple(xs + ys), q)
 
 
 # ---- class-count vectors ----------------------------------------------------
@@ -56,6 +75,16 @@ class ClassCountVector:
         return (self.x1, self.x2, self.x1p, self.x2p,
                 self.y1, self.y2, self.y1p, self.y2p)
 
+    def _shapes(self) -> tuple[tuple[int, int, int], ...]:
+        """The eight (count, from X, from Y) shapes, in field order."""
+        a = self.a
+        return ((self.x1, a + 1, 0), (self.x2, a, 0), (self.x1p, a, 1),
+                (self.x2p, a - 1, 1), (self.y1, 0, a + 1), (self.y2, 0, a),
+                (self.y1p, 1, a), (self.y2p, 1, a - 1))
+
+
+_SHAPE_NAMES = ("x1", "x2", "x1p", "x2p", "y1", "y2", "y1p", "y2p")
+
 
 def make_class_counts(n: int, q: int, *, x1: int = 0, x2: int = 0,
                       x1p: int = 0, x2p: int = 0, y1: int = 0, y2: int = 0,
@@ -71,68 +100,29 @@ def make_class_counts(n: int, q: int, *, x1: int = 0, x2: int = 0,
     a = (2 * n) // q
     r = 2 * n - a * q
     vec = ClassCountVector(a, r, x1, x2, x1p, x2p, y1, y2, y1p, y2p)
-    fields = dict(zip(("x1", "x2", "x1p", "x2p", "y1", "y2", "y1p", "y2p"),
-                      vec.counts()))
-    for name, value in fields.items():
+    for name, value in zip(_SHAPE_NAMES, vec.counts()):
         if value < 0:
             raise InfeasibleVectorError(f"count {name} is negative ({value})")
-    if sum(fields.values()) != q:
-        raise InfeasibleVectorError(
-            f"counts sum to {sum(fields.values())}, expected q={q}"
-        )
+    total = sum(vec.counts())
+    if total != q:
+        raise InfeasibleVectorError(f"counts sum to {total}, expected q={q}")
     if a == 0 and (x2p or y2p):
         raise InfeasibleVectorError(
             "shapes with a-1 bulk vertices are impossible when a=0"
         )
-    eq1 = (a + 1) * x1 + a * x2 + a * x1p + (a - 1) * x2p + y1p + y2p
-    if eq1 != n:
-        raise InfeasibleVectorError(
-            f"X-side consumption is {eq1}, expected n={n}"
-        )
-    eq2 = (a + 1) * y1 + a * y2 + a * y1p + (a - 1) * y2p + x1p + x2p
-    if eq2 != n:
-        raise InfeasibleVectorError(
-            f"Y-side consumption is {eq2}, expected n={n}"
-        )
+    for side, i in (("X", 1), ("Y", 2)):
+        used = sum(shape[0] * shape[i] for shape in vec._shapes())
+        if used != n:
+            raise InfeasibleVectorError(
+                f"{side}-side consumption is {used}, expected n={n}"
+            )
     return vec
 
 
 def realize_class_counts(n: int, q: int, ccv: ClassCountVector) -> TreeColoring:
-    """Materialize a class-count vector as a concrete coloring of K_{n,n}.
-
-    Vertices are consumed left to right on each side, shapes in field
-    order, colors assigned 1..q in that order.
-    """
-    vec = make_class_counts(n, q, x1=ccv.x1, x2=ccv.x2, x1p=ccv.x1p,
-                            x2p=ccv.x2p, y1=ccv.y1, y2=ccv.y2,
-                            y1p=ccv.y1p, y2p=ccv.y2p)
-    a = vec.a
-    colors = [0] * (2 * n)
-    px, py = 0, n
-    color = 0
-    # (count, taken from X, taken from Y) in declaration order.
-    shapes = (
-        (vec.x1, a + 1, 0),
-        (vec.x2, a, 0),
-        (vec.x1p, a, 1),
-        (vec.x2p, a - 1, 1),
-        (vec.y1, 0, a + 1),
-        (vec.y2, 0, a),
-        (vec.y1p, 1, a),
-        (vec.y2p, 1, a - 1),
-    )
-    for count, nx, ny in shapes:
-        for _ in range(count):
-            color += 1
-            for _ in range(nx):
-                colors[px] = color
-                px += 1
-            for _ in range(ny):
-                colors[py] = color
-                py += 1
-    while color < q:  # trailing empty classes exist only when a = 0
-        color += 1
-    return TreeColoring(tuple(colors), q)
+    """Materialize a class-count vector on K_{n,n}, shapes in field order."""
+    vec = make_class_counts(n, q, **dict(zip(_SHAPE_NAMES, ccv.counts())))
+    return _layout(q, vec._shapes())
 
 
 # ---- elementary constructions ----------------------------------------------
@@ -149,27 +139,19 @@ def even_t_coloring(n: int, t: int) -> TreeColoring:
     if t % 2:
         raise PreconditionError("even_t_coloring needs an even class count")
     h = t // 2
-    big = n % h
-    base = n // h
-    colors = [0] * (2 * n)
-    for offset, first_color in ((0, 0), (n, h)):
-        v = offset
-        for j in range(h):
-            size = base + 1 if j < big else base
-            for _ in range(size):
-                colors[v] = first_color + j + 1
-                v += 1
-    return TreeColoring(tuple(colors), t)
+    base, big = divmod(n, h)
+    return _layout(t, ((big, base + 1, 0), (h - big, base, 0),
+                       (big, 0, base + 1), (h - big, 0, base)))
 
 
 def odd_q_11_coloring(n: int, q: int) -> TreeColoring:
     """Disjoint-edge construction for odd q at or above 2*floor((n+1)/3)+1.
 
     Case q < n: classes are 3q-2n disjoint edges (X_i with Y_i) plus
-    one-sided triples of the leftovers.  Case n <= q < 2n: 2n-q disjoint
-    edges plus singletons.  Case q >= 2n: singletons, with empty classes
-    past 2n.  Every class is a single edge or an independent set, so the
-    result is valid for degree cap 1 and diameter cap 1.
+    one-sided triples of the leftovers.  Case q >= n: max(0, 2n-q) disjoint
+    edges plus singletons, with empty classes past 2n.  Every class is a
+    single edge or an independent set, so the result is valid for degree
+    cap 1 and diameter cap 1.
     """
     _require_instance(n, q)
     bound = 2 * ((n + 1) // 3) + 1
@@ -179,28 +161,12 @@ def odd_q_11_coloring(n: int, q: int) -> TreeColoring:
         raise PreconditionError(
             f"odd_q_11_coloring needs q >= 2*floor((n+1)/3)+1 = {bound}"
         )
-    colors = [0] * (2 * n)
     if q < n:
-        edges = 3 * q - 2 * n
-        for i in range(edges):
-            colors[i] = colors[n + i] = i + 1
-        c = edges
-        for start in (edges, n + edges):
-            for j in range(start, start + (n - edges), 3):
-                c += 1
-                colors[j] = colors[j + 1] = colors[j + 2] = c
-    elif q < 2 * n:
-        edges = 2 * n - q
-        for i in range(edges):
-            colors[i] = colors[n + i] = i + 1
-        c = edges
-        for v in list(range(edges, n)) + list(range(n + edges, 2 * n)):
-            c += 1
-            colors[v] = c
+        edges, size = 3 * q - 2 * n, 3
     else:
-        for v in range(2 * n):
-            colors[v] = v + 1
-    return TreeColoring(tuple(colors), q)
+        edges, size = max(0, 2 * n - q), 1
+    rest = (n - edges) // size
+    return _layout(q, ((edges, 1, 1), (rest, size, 0), (rest, 0, size)))
 
 
 # ---- the one-sided class-size equation --------------------------------------
@@ -258,19 +224,8 @@ def two_solution_coloring(n: int, s1: SolutionPair,
         raise PreconditionError(
             f"pairs solve the equation for different moduli ({a1} vs {a2})"
         )
-    a = a1
-    t = s1.z + s2.z
-    colors = [0] * (2 * n)
-    color = 0
-    for offset, s in ((0, s1), (n, s2)):
-        v = offset
-        for size, count in ((a, s.x), (a + 1, s.y)):
-            for _ in range(count):
-                color += 1
-                for _ in range(size):
-                    colors[v] = color
-                    v += 1
-    return TreeColoring(tuple(colors), t)
+    return _layout(s1.z + s2.z, ((s1.x, a1, 0), (s1.y, a1 + 1, 0),
+                                 (s2.x, 0, a1), (s2.y, 0, a1 + 1)))
 
 
 # ---- closed-form class counts for odd q ------------------------------------
@@ -541,8 +496,6 @@ def relabel_for_sides(coloring: TreeColoring, xs: list[int],
     if len(ys) != n or coloring.n != 2 * n:
         raise PreconditionError("side lists do not match the coloring size")
     colors = [0] * (2 * n)
-    for i, v in enumerate(xs):
-        colors[v] = coloring.colors[i]
-    for i, v in enumerate(ys):
-        colors[v] = coloring.colors[n + i]
+    for v, c in zip([*xs, *ys], coloring.colors):
+        colors[v] = c
     return TreeColoring(tuple(colors), coloring.t)

@@ -3,7 +3,8 @@ decide feasibility, compute exact thresholds, and run the oracle.
 
 Exit codes form the contract: 0 on success or a positive answer, 1 on a
 negative answer (infeasible, invalid certificate, disagreements found),
-2 when the search budget runs out, 64 for malformed input, 65 for calls
+2 when the search budget runs out, 64 for an input file that is malformed
+or cannot be read or an output file that cannot be written, 65 for calls
 outside a precondition, 66 when no reducible configuration exists, 70 for
 an internal error (any other exception, reported on one stderr line).
 argparse itself exits with 2 on bad flags, before any computation.
@@ -75,11 +76,11 @@ def _parse_bound(text: str):
 
 
 def _read_text(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
     try:
+        if source == "-":
+            return sys.stdin.read()
         return Path(source).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {source}: {exc}") from exc
 
 
@@ -112,8 +113,11 @@ def _emit_dot(destination: str, g: Graph, coloring: TreeColoring) -> None:
     text = "\n".join(lines) + "\n"
     if destination == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(destination).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {destination}: {exc}") from exc
 
 
 def _cmd_gen(args) -> int:

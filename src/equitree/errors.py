@@ -6,7 +6,7 @@ class EquitreeError(Exception):
 
 
 class InputFormatError(EquitreeError):
-    """A file, certificate, or coloring is structurally malformed."""
+    """Malformed input, or a file that cannot be read or written."""
 
 
 class PreconditionError(EquitreeError):

@@ -174,7 +174,10 @@ def maximal_outerplanar_random(n: int, seed: int) -> Graph:
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    """Components as sorted vertex lists, ordered by smallest member."""
+    """Components as sorted vertex lists, ordered by smallest member.
+
+    A reference checker for tests; verify does not use it.
+    """
     seen = [False] * g.n
     comps: list[list[int]] = []
     for s in range(g.n):
@@ -195,11 +198,18 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def is_forest(g: Graph) -> bool:
-    """A graph is a forest iff every component is a tree (m = n - #components)."""
+    """A graph is a forest iff every component is a tree (m = n - #components).
+
+    A reference checker for tests; verify does not use it.
+    """
     return g.m == g.n - len(connected_components(g))
 
 
 def max_degree(g: Graph) -> int:
+    """Largest vertex degree (0 for the empty graph).
+
+    A reference checker for tests; verify does not use it.
+    """
     return max(g.degrees(), default=0)
 
 
@@ -217,7 +227,10 @@ def _bfs_dists(g: Graph, s: int) -> list[int]:
 
 
 def component_diameter_max(g: Graph) -> int:
-    """Largest diameter over connected components (0 for the empty graph)."""
+    """Largest diameter over connected components (0 for the empty graph).
+
+    A reference checker for tests; verify does not use it.
+    """
     best = 0
     for comp in connected_components(g):
         if len(comp) <= 1:

@@ -137,6 +137,7 @@ class TestEvenT:
     def test_small_profile(self):
         coloring = even_t_coloring(5, 4)
         assert sorted(coloring.class_sizes()) == [2, 2, 3, 3]
+        assert coloring.colors == (1, 1, 1, 2, 2, 3, 3, 3, 4, 4)
         rep = verify(complete_bipartite(5), coloring, Params(4, 0, 0))
         assert rep.verdict
 
@@ -156,16 +157,20 @@ class TestOddQ11:
         coloring = odd_q_11_coloring(7, 5)
         sizes = sorted(coloring.class_sizes())
         assert sizes == [2, 3, 3, 3, 3]
+        assert coloring.colors == (1, 2, 2, 2, 3, 3, 3,
+                                   1, 4, 4, 4, 5, 5, 5)
         _check_11(7, 5, coloring)
 
     def test_between_n_and_2n(self):
         coloring = odd_q_11_coloring(5, 7)
         assert sorted(coloring.class_sizes()) == [1, 1, 1, 1, 2, 2, 2]
+        assert coloring.colors == (1, 2, 3, 4, 5, 1, 2, 3, 6, 7)
         _check_11(5, 7, coloring)
 
     def test_at_least_2n_gives_singletons(self):
         coloring = odd_q_11_coloring(3, 7)
         assert sorted(coloring.class_sizes()) == [0, 1, 1, 1, 1, 1, 1]
+        assert coloring.colors == (1, 2, 3, 4, 5, 6)
         _check_11(3, 7, coloring)
 
     def test_below_threshold_rejected(self):
@@ -185,6 +190,8 @@ class TestTwoSolution:
         coloring = two_solution_coloring(43, s1, s2)
         assert coloring.t == s1.z + s2.z == 23
         _check_11(43, 23, coloring)
+        small = two_solution_coloring(5, SolutionPair(1, 2), SolutionPair(3, 1))
+        assert small.colors == (1, 2, 2, 3, 3, 4, 5, 6, 7, 7)
 
     def test_same_pair_twice(self):
         s = SolutionPair(5, 7)
@@ -217,7 +224,10 @@ class TestOddQInf2Counts:
     def test_case_large_q(self):
         vec = odd_q_inf2_counts(8, 5)
         assert vec.counts() == (0, 2, 0, 0, 0, 1, 1, 1)
-        _check_inf2(8, 5, realize_class_counts(8, 5, vec))
+        coloring = realize_class_counts(8, 5, vec)
+        assert coloring.colors == (1, 1, 1, 2, 2, 2, 4, 5,
+                                   3, 3, 3, 4, 4, 4, 5, 5)
+        _check_inf2(8, 5, coloring)
 
     def test_gap_instance_raises(self):
         with pytest.raises(InfeasibleVectorError):

@@ -287,6 +287,28 @@ class TestErrorPaths:
                            "--cert", str(tmp_path / "nope.json"))
         assert code == 64
 
+    def test_non_utf8_file_exit_64(self, k33, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"0 1\n# caf\xe9\n")
+        code, _, err = run(capsys, "construct", "--graph", str(bad),
+                           "--t", "2")
+        assert code == 64
+        assert err.startswith(f"error: cannot read {bad}: ")
+        assert err.count("\n") == 1
+        code, _, err = run(capsys, "verify", "--graph", str(k33),
+                           "--cert", str(bad))
+        assert code == 64
+        assert err.startswith(f"error: cannot read {bad}: ")
+
+    def test_unwritable_dot_exit_64(self, k33, tmp_path, capsys):
+        dot = tmp_path / "missing" / "out.dot"
+        for argv in (("construct", "--graph", str(k33), "--t", "2"),
+                     ("search", "--graph", str(k33), "--t", "2")):
+            code, _, err = run(capsys, *argv, "--emit-dot", str(dot))
+            assert code == 64
+            assert err.startswith(f"error: cannot write {dot}: ")
+            assert err.count("\n") == 1
+
     def test_bad_certificate_json_exit_64(self, k33, tmp_path, capsys):
         cert = tmp_path / "broken.json"
         cert.write_text("{not json")

@@ -92,11 +92,14 @@ class TestBruteForce:
         assert result.nodes >= 5
 
     def test_time_budget_stops_search(self):
+        # The full search of this instance visits 570,419 nodes (seconds),
+        # so the 5 ms cap, checked every 1,024 nodes, must cut it.
         result = brute_force_search(
-            complete_bipartite(7), Params(3, 1, 1),
+            complete_bipartite(8), Params(5, 1, 1),
             SearchBudget(10**12, 0.005),
         )
         assert result.status == BUDGET_EXCEEDED
+        assert result.nodes < 570_419
 
     def test_bad_budget_rejected(self):
         with pytest.raises(PreconditionError):
