@@ -154,7 +154,7 @@ def odd_q_11_coloring(n: int, q: int) -> TreeColoring:
     cap 1 and diameter cap 1.
     """
     _require_instance(n, q)
-    bound = 2 * ((n + 1) // 3) + 1
+    bound = va11_upper(n) + 1
     if q % 2 == 0:
         raise PreconditionError("odd_q_11_coloring needs odd q")
     if q < bound:
@@ -232,18 +232,17 @@ def two_solution_coloring(n: int, s1: SolutionPair,
 
 
 def odd_q_inf2_counts(n: int, q: int) -> ClassCountVector:
-    """Case-split class counts for odd q with 2*floor((t+1)/2) <= q < n.
+    """Case-split class counts for odd q with vainf2_upper(n) <= q < n.
 
-    Here t = floor((isqrt(8n+9)-3)/2).  The three cases select on how q
-    compares with 2r+1 and a+r-1; since q is odd, a and r share parity
-    and the two gap values 2r+2 and a+r are even, so the split is
-    exhaustive.  Raises InfeasibleVectorError when a case formula goes
-    negative, which happens for some (n, q) near the lower bound; callers
-    fall back to the exact feasibility scan.
+    The three cases select on how q compares with 2r+1 and a+r-1.  As q
+    is odd, a and r share parity, so the gap values 2r+2 and a+r are even
+    (the split is exhaustive) and so is every numerator halved below.
+    Raises InfeasibleVectorError when a case formula goes negative, which
+    happens for some (n, q) near the lower bound; callers fall back to
+    the exact feasibility scan.
     """
     _require_instance(n, q)
-    t = (isqrt(8 * n + 9) - 3) // 2
-    low = 2 * ((t + 1) // 2)
+    low = vainf2_upper(n)
     if q % 2 == 0:
         raise PreconditionError("odd_q_inf2_counts needs odd q")
     if not low <= q < n:
@@ -252,35 +251,28 @@ def odd_q_inf2_counts(n: int, q: int) -> ClassCountVector:
         )
     a = (2 * n) // q
     r = 2 * n - a * q
-
-    def half(value: int, label: str) -> int:
-        quotient, remainder = divmod(value, 2)
-        if remainder:
-            raise InfeasibleVectorError(f"{label} = {value} is odd")
-        return quotient
-
     if q <= 2 * r + 1:
         return make_class_counts(
             n, q,
-            x1=half(q - 1, "2*x1"),
-            y2=half(2 * q - a - r, "2*y2"),
-            y1p=half(2 * r + 1 - q, "2*y1p"),
-            y2p=half(a - r, "2*y2p"),
+            x1=(q - 1) // 2,
+            y2=(2 * q - a - r) // 2,
+            y1p=(2 * r + 1 - q) // 2,
+            y2p=(a - r) // 2,
         )
     if q <= a + r - 1:
         return make_class_counts(
             n, q,
-            x2p=half(q + 1, "2*x2p"),
-            y1=half(a + r - 1 - q, "2*y1"),
-            y2=half(q - 2 * r - 1, "2*y2"),
-            y1p=half(q + r - a + 1, "2*y1p"),
+            x2p=(q + 1) // 2,
+            y1=(a + r - 1 - q) // 2,
+            y2=(q - 2 * r - 1) // 2,
+            y1p=(q + r - a + 1) // 2,
         )
     return make_class_counts(
         n, q,
-        x2=half(q - 1, "2*x2"),
-        y2=half(q - a - r + 1, "2*y2"),
+        x2=(q - 1) // 2,
+        y2=(q - a - r + 1) // 2,
         y1p=r,
-        y2p=half(a - r, "2*y2p"),
+        y2p=(a - r) // 2,
     )
 
 
@@ -311,34 +303,27 @@ def infeasible_by_divisibility(n: int, t: int) -> bool:
     return t % 2 == 1 and (2 * n) % t == 0 and (2 * n) // t - t >= 2
 
 
+def _complementary_pair(n: int, q: int) -> tuple[SolutionPair, SolutionPair] | None:
+    """The first pair of solve_linear(floor(2n/q), n) with z1 + z2 = q, or None."""
+    pairs = solve_linear((2 * n) // q, n)
+    by_z = {p.z: p for p in pairs}
+    for p in pairs:
+        other = by_z.get(q - p.z)
+        if other is not None:
+            return p, other
+    return None
+
+
 def feasible_11(n: int, q: int) -> bool:
     """Exact decision: does K_{n,n} admit an equitable (q,1,1)-tree-coloring?
 
     For a = floor(2n/q) >= 3 every class is one-sided, so feasibility is
-    the existence of two solution pairs with z1 + z2 = q.  For a = 2 the
-    class shapes are pairs, triples, and single edges; a scan over the
-    edge-class count settles it.  For a <= 1 the edge-plus-singleton
-    construction always works.
+    the existence of two solution pairs with z1 + z2 = q.  Every a <= 2
+    works: q > 2n/3, so an odd q exceeds va11_upper(n) and takes the
+    disjoint-edge construction, and an even q takes the side split.
     """
     _require_instance(n, q)
-    a = (2 * n) // q
-    if a >= 3:
-        zs = {p.z for p in solve_linear(a, n)}
-        return any(q - z in zs for z in zs)
-    if a == 2:
-        r = 2 * n - 2 * q
-        for e in range(n + 1):
-            m = n - e
-            cap = m // 3
-            lo = max(0, r - cap)
-            hi = min(r, cap)
-            if lo > hi:
-                continue
-            # need an x3 in [lo, hi] with the parity of m
-            if lo % 2 == m % 2 or lo + 1 <= hi:
-                return True
-        return False
-    return True
+    return (2 * n) // q < 3 or _complementary_pair(n, q) is not None
 
 
 def feasible_inf2(n: int, q: int) -> ClassCountVector | None:
@@ -401,27 +386,22 @@ def exact_vainf2(n: int) -> int:
 def construct_knn_11(n: int, q: int) -> TreeColoring:
     """Build an equitable (q,1,1)-tree-coloring of K_{n,n} or raise.
 
-    Even q uses the side split; odd q at or above the disjoint-edge bound
-    uses that construction; remaining odd q (necessarily with a >= 3) go
-    through a pair of one-sided solution profiles.  Raises
-    PreconditionError exactly when feasible_11(n, q) is false.
+    Even q uses the side split; odd q above va11_upper(n) the disjoint-edge
+    construction.  A remaining odd q is at most 2n/3, so a >= 3, every class
+    is one-sided, and a complementary pair of solution profiles decides it.
+    Raises PreconditionError exactly when feasible_11(n, q) is false.
     """
     _require_instance(n, q)
     if q % 2 == 0:
         return even_t_coloring(n, q)
-    if q >= 2 * ((n + 1) // 3) + 1:
+    if q > va11_upper(n):
         return odd_q_11_coloring(n, q)
-    a = (2 * n) // q
-    if a >= 3:
-        pairs = solve_linear(a, n)
-        by_z = {p.z: p for p in pairs}
-        for p in pairs:
-            other = by_z.get(q - p.z)
-            if other is not None:
-                return two_solution_coloring(n, p, other)
-    raise PreconditionError(
-        f"K_{{{n},{n}}} has no equitable ({q},1,1)-tree-coloring"
-    )
+    pair = _complementary_pair(n, q)
+    if pair is None:
+        raise PreconditionError(
+            f"K_{{{n},{n}}} has no equitable ({q},1,1)-tree-coloring"
+        )
+    return two_solution_coloring(n, *pair)
 
 
 def construct_knn_inf2(n: int, q: int) -> TreeColoring:
@@ -446,7 +426,7 @@ def _counts_coloring(n: int, q: int, edge_fallback: bool = False) -> TreeColorin
     try:
         ccv = odd_q_inf2_counts(n, q)
     except PreconditionError:
-        if edge_fallback and q >= 2 * ((n + 1) // 3) + 1:
+        if edge_fallback and q > va11_upper(n):
             return odd_q_11_coloring(n, q)
         ccv = feasible_inf2(n, q)
         if ccv is None:
@@ -462,7 +442,10 @@ def _counts_coloring(n: int, q: int, edge_fallback: bool = False) -> TreeColorin
 def detect_balanced_biclique(g) -> tuple[list[int], list[int]] | None:
     """Return the two sides of g when it is some K_{n,n}, else None.
 
-    The side containing vertex 0 comes first; both sides are sorted.
+    The side containing vertex 0 comes first; both sides are sorted.  With
+    every degree half the order, only an odd cycle can still fail: each
+    component has half + 1 vertices or more, so there is one, and each side
+    holds all half neighbours of a vertex on the other, so they balance.
     """
     total = g.n
     if total == 0 or total % 2:
@@ -480,11 +463,7 @@ def detect_balanced_biclique(g) -> tuple[list[int], list[int]] | None:
                 queue.append(w)
             elif side[w] == side[u]:
                 return None
-    if any(s < 0 for s in side):
-        return None
     xs = [v for v in range(total) if side[v] == 0]
-    if len(xs) != half:
-        return None
     ys = [v for v in range(total) if side[v] == 1]
     return xs, ys
 

@@ -97,8 +97,8 @@ def _load_certificate(source: str):
     return coloring_from_certificate(payload)
 
 
-def _emit_dot(destination: str, g: Graph, coloring: TreeColoring) -> None:
-    """Write the colored graph in DOT format, one HSV fill color per class."""
+def _dot_text(g: Graph, coloring: TreeColoring) -> str:
+    """The colored graph in DOT format, one HSV fill color per class."""
     lines = ["graph coloring {", "  node [style=filled];"]
     for v in range(g.n):
         c = coloring.colors[v]
@@ -110,14 +110,22 @@ def _emit_dot(destination: str, g: Graph, coloring: TreeColoring) -> None:
     for u, v in sorted(g.edges()):
         lines.append(f"  {u} -- {v};")
     lines.append("}")
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _print_coloring(args, g: Graph, coloring: TreeColoring, payload) -> None:
+    """Print payload as JSON, then any `--emit-dot -` DOT text; a DOT file
+    is written first, so one that cannot be written leaves stdout empty."""
+    destination = args.emit_dot
+    text = _dot_text(g, coloring) if destination else ""
+    if destination and destination != "-":
+        try:
+            Path(destination).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputFormatError(f"cannot write {destination}: {exc}") from exc
+    print(json.dumps(payload))
     if destination == "-":
         sys.stdout.write(text)
-        return
-    try:
-        Path(destination).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise InputFormatError(f"cannot write {destination}: {exc}") from exc
 
 
 def _cmd_gen(args) -> int:
@@ -146,9 +154,8 @@ def _cmd_construct(args) -> int:
     g = _load_graph(args.graph)
     params = Params(args.t, args.k, args.d)
     coloring = construct(g, params, args.method)
-    print(json.dumps(certificate_from_coloring(coloring, params)))
-    if args.emit_dot:
-        _emit_dot(args.emit_dot, g, coloring)
+    _print_coloring(args, g, coloring,
+                    certificate_from_coloring(coloring, params))
     return EXIT_OK
 
 
@@ -205,28 +212,20 @@ def _cmd_search(args) -> int:
     params = Params(args.t, args.k, args.d)
     budget = SearchBudget(args.max_nodes, args.time_cap)
     result = brute_force_search(g, params, budget)
+    certificate = None
     if result.status == FEASIBLE:
         certificate = certificate_from_coloring(result.coloring, params)
-        if args.json:
-            print(json.dumps({
-                "status": result.status,
-                "nodes": result.nodes,
-                "certificate": certificate,
-            }))
-        else:
-            print(json.dumps(certificate))
-        if args.emit_dot:
-            _emit_dot(args.emit_dot, g, result.coloring)
-        return EXIT_OK
-    if args.json:
-        print(json.dumps({
-            "status": result.status,
-            "nodes": result.nodes,
-            "certificate": None,
-        }))
-    else:
-        print(result.status)
-    return EXIT_BUDGET if result.status == BUDGET_EXCEEDED else EXIT_NEGATIVE
+    report = {
+        "status": result.status,
+        "nodes": result.nodes,
+        "certificate": certificate,
+    }
+    if certificate is None:
+        print(json.dumps(report) if args.json else result.status)
+        return EXIT_BUDGET if result.status == BUDGET_EXCEEDED else EXIT_NEGATIVE
+    _print_coloring(args, g, result.coloring,
+                    report if args.json else certificate)
+    return EXIT_OK
 
 
 def _cmd_cross_check(args) -> int:

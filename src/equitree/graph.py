@@ -145,12 +145,11 @@ def hex_grid(rows: int, cols: int) -> Graph:
 def maximal_outerplanar_random(n: int, seed: int) -> Graph:
     """Random triangulated polygon on n vertices, deterministic per seed.
 
-    Boundary cycle 0..n-1 plus n-3 chords, so 2n-3 edges for n >= 2.
+    Boundary cycle 0..n-1 plus n-3 chords, so 2n-3 edges for n >= 2 and
+    none for n = 1, whose boundary path is empty.
     """
     if n < 1:
         raise PreconditionError("maximal_outerplanar_random needs n >= 1")
-    if n == 1:
-        return graph_from_edges(1, [])
     rng = random.Random(seed)
     edges = [(i, i + 1) for i in range(n - 1)]
     if n >= 3:

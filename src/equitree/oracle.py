@@ -1,13 +1,14 @@
 """Exhaustive feasibility oracle for small instances.
 
 A depth-first search assigns colors to vertices in descending degree
-order, pruning on class-size caps, an unfillable-deficit bound, the
-structural checks (forest, degree cap, diameter cap) restricted to the
-component the new vertex joins, and optionally on color symmetry.  It is
-meant as ground truth against the closed-form feasibility predicates, so
-the pruning is deliberately conservative.  The search is one loop over
-an explicit index, so its depth is not limited, and it measures a
-component through verify's kernel, coloring._measure.
+order, pruning on class-size caps (they imply that the uncolored
+vertices can still fill every class), the structural checks (forest,
+degree cap, diameter cap) restricted to the component the new vertex
+joins, and optionally on color symmetry.  It is meant as ground truth
+against the closed-form feasibility predicates, so the pruning is
+deliberately conservative.  The search is one loop over an explicit
+index, so its depth is not limited, and it measures a component through
+verify's kernel, coloring._measure.
 """
 
 from __future__ import annotations
@@ -53,16 +54,17 @@ def brute_force_search(g: Graph, params: Params,
     With symmetry on, new colors are introduced in ascending order; this
     prunes relabelings of the same partition and never changes the
     verdict.  Turning it off explores the raw space, which the test
-    suite uses to cross-check the pruned search on tiny graphs.
+    suite uses to cross-check the pruned search on tiny graphs.  On the
+    empty graph the loop never runs: feasible after 0 nodes.
     """
     if budget is None:
         budget = SearchBudget()
     n, t, k, d = g.n, params.t, params.k, params.d
-    if n == 0:
-        return SearchResult(FEASIBLE, TreeColoring((), t), 0)
     adjacency = g.adjacency
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    lo, hi = n // t, -(-n // t)
+    # No class passes hi and at most n mod t classes reach it, so the
+    # classes below n // t never lack more vertices than remain uncolored.
+    hi = -(-n // t)
     full_allowed = n % t
     colors = [0] * n
     sizes = [0] * (t + 1)
@@ -70,7 +72,7 @@ def brute_force_search(g: Graph, params: Params,
     same: list[set[int]] = [set() for _ in range(n)]
     # used[i]: the largest color among the first i vertices of the order.
     used = [0] * (n + 1)
-    nodes, deficit, at_cap = 0, t * lo, 0
+    nodes, at_cap = 0, 0
     deadline = time.monotonic() + budget.time_cap
     index = 0
     while index < n:
@@ -85,8 +87,6 @@ def brute_force_search(g: Graph, params: Params,
             if full_allowed and sizes[c] == hi:
                 at_cap -= 1
             sizes[c] -= 1
-            if sizes[c] < lo:
-                deficit += 1
             colors[v] = 0
         top = min(t, used[index] + 1) if symmetry else t
         c += 1
@@ -102,14 +102,10 @@ def brute_force_search(g: Graph, params: Params,
         if nodes > budget.max_nodes or (
                 nodes % 1024 == 0 and time.monotonic() > deadline):
             return SearchResult(BUDGET_EXCEEDED, None, nodes)
-        if sizes[c] < lo:
-            deficit -= 1
         colors[v] = c
         sizes[c] += 1
         if full_allowed and sizes[c] == hi:
             at_cap += 1
-        if deficit > n - index - 1:
-            continue
         # Every accepted partial coloring meets the caps, so only v and its
         # new class neighbors can break the degree cap, and only v's
         # component can hold a cycle or exceed the diameter cap.
@@ -154,7 +150,10 @@ def cross_check_bipartite(n_max: int, q_max: int,
     Runs every n <= n_max and q <= q_max for both the (q,1,1) and the
     (q,inf,2) variant.  A budget-exceeded search counts as a
     disagreement, so a clean report really means full agreement.
+    A bound below 1 raises PreconditionError: an empty grid checks nothing.
     """
+    if n_max < 1 or q_max < 1:
+        raise PreconditionError("cross-check needs n_max >= 1 and q_max >= 1")
     checked = 0
     found: list[Disagreement] = []
     for n in range(1, n_max + 1):

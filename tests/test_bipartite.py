@@ -1,6 +1,7 @@
 """Feasibility formulas and constructions for balanced complete bipartite graphs."""
 
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -398,6 +399,10 @@ class TestBicliqueDetection:
         cycle(6),
         graph_from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),
         graph_from_edges(2, []),
+        # 3-regular on 6 vertices but not bipartite: only the odd-cycle
+        # check can reject the triangular prism.
+        graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                             (0, 3), (1, 4), (2, 5)]),
     ])
     def test_non_bicliques_rejected(self, g):
         assert detect_balanced_biclique(g) is None
@@ -413,3 +418,87 @@ class TestInstanceValidation:
             exact_va11(0)
         with pytest.raises(PreconditionError):
             even_t_coloring(0, 2)
+
+
+# ---- an independent reference: sumsets of allowed class shapes ----------
+
+
+def _shape_ok(x, y, k, d):
+    """K_{x,y} is a forest exactly when min(x, y) <= 1.  With no edge it
+    meets every cap; else its degree is max(x, y) and its diameter 1 (an
+    edge) or 2 (a larger star)."""
+    if min(x, y) == 0:
+        return True
+    return min(x, y) == 1 and max(x, y) <= k and (1 if x == y else 2) <= d
+
+
+def _reference_feasible(n, q, k, d):
+    """Each of the r classes of size a+1 and q-r of size a picks an allowed
+    X-count; feasible exactly when the X-counts can total n."""
+    a, r = divmod(2 * n, q)
+    mask = (1 << (n + 1)) - 1
+    reach = 1
+    for copies, size in ((r, a + 1), (q - r, a)):
+        options = [x for x in range(size + 1) if _shape_ok(x, size - x, k, d)]
+        for _ in range(copies):
+            step = reach
+            for x in options:
+                step |= reach << x
+            # 0 is always an option, so a fixed point stays fixed.
+            if step & mask == reach:
+                break
+            reach = step & mask
+    return bool(reach >> n & 1)
+
+
+REFERENCE_N = 150
+CAPS = {"11": (1, 1), "inf2": (UNBOUNDED, 2)}
+
+
+@lru_cache(maxsize=None)
+def _reference_table(variant):
+    k, d = CAPS[variant]
+    return {(n, q): _reference_feasible(n, q, k, d)
+            for n in range(1, REFERENCE_N + 1) for q in range(1, 2 * n + 3)}
+
+
+def _reference_threshold(variant, n):
+    """Scan down from t = 2n, where every class is at most one vertex."""
+    t = 2 * n
+    while t > 1 and _reference_table(variant)[n, t - 1]:
+        t -= 1
+    return t
+
+
+class TestAgainstShapeReference:
+    def test_reference_controls(self):
+        assert _reference_feasible(3, 3, 1, 1)  # three disjoint edges
+        assert not _reference_feasible(5, 3, 1, 1)
+        assert _reference_feasible(4, 2, 0, 0)  # the two sides
+        assert not _reference_feasible(2, 1, UNBOUNDED, UNBOUNDED)  # a C4
+        assert not _reference_feasible(9, 3, UNBOUNDED, 2)
+
+    def test_feasibility_verdicts(self):
+        for (n, q), expected in _reference_table("11").items():
+            assert feasible_11(n, q) == expected, (n, q)
+        for (n, q), expected in _reference_table("inf2").items():
+            assert (feasible_inf2(n, q) is not None) == expected, (n, q)
+
+    def test_exact_thresholds(self):
+        for n in range(1, REFERENCE_N + 1):
+            assert exact_va11(n) == _reference_threshold("11", n), n
+            assert exact_vainf2(n) == _reference_threshold("inf2", n), n
+
+    @pytest.mark.parametrize("variant, build", [
+        ("11", construct_knn_11), ("inf2", construct_knn_inf2),
+    ])
+    def test_constructors_raise_exactly_when_infeasible(self, variant, build):
+        for (n, q), expected in _reference_table(variant).items():
+            if n > 60:
+                continue
+            try:
+                build(n, q)
+                built = True
+            except PreconditionError:
+                built = False
+            assert built == expected, (n, q)

@@ -98,14 +98,20 @@ class TestConstructVerifyRoundTrip:
             assert code == 0
 
     def test_explicit_methods(self, tmp_path, capsys):
-        _, out, _ = run(capsys, "gen", "--family", "knn", "--n", "6")
-        graph_file = tmp_path / "k66.txt"
-        graph_file.write_text(out)
-        for extra in (["--t", "4", "--method", "even"],
-                      ["--t", "5", "--method", "odd11"],
-                      ["--t", "5", "--method", "classcounts", "--d", "2"]):
+        graphs = {}
+        for family in (["knn", "--n", "6"], ["dodecahedron"],
+                       ["hexgrid", "--n", "3"]):
+            _, out, _ = run(capsys, "gen", "--family", *family)
+            graphs[family[0]] = tmp_path / f"{family[0]}.txt"
+            graphs[family[0]].write_text(out)
+        for family, extra in (
+                ("knn", ["--t", "4", "--method", "even"]),
+                ("knn", ["--t", "5", "--method", "odd11"]),
+                ("knn", ["--t", "5", "--method", "classcounts", "--d", "2"]),
+                ("dodecahedron", ["--t", "3", "--method", "girth5"]),
+                ("hexgrid", ["--t", "2", "--method", "girth6"])):
             code, out, _ = run(capsys, "construct", "--graph",
-                               str(graph_file), *extra)
+                               str(graphs[family]), *extra)
             assert code == 0, extra
             payload = json.loads(out)
             assert payload["t"] == int(extra[1])
@@ -130,6 +136,12 @@ class TestConstructVerifyRoundTrip:
         assert text.startswith("graph")
         assert "fillcolor=" in text
         assert "--" in text
+        code, out, _ = run(capsys, "construct", "--graph", str(k33),
+                           "--t", "2", "--emit-dot", "-")
+        assert code == 0
+        certificate, dot_text = out.split("\n", 1)
+        assert json.loads(certificate)["t"] == 2
+        assert dot_text.startswith("graph coloring {")
 
     def test_tampered_certificate_fails_verify(self, k33, tmp_path, capsys):
         _, out, _ = run(capsys, "construct", "--graph", str(k33), "--t", "3",
@@ -271,6 +283,14 @@ class TestCrossCheckCommand:
         assert payload["checked"] == 16
         assert payload["disagreements"] == []
 
+    def test_empty_grid_is_precondition_error(self, capsys):
+        for nmax, qmax in (("0", "0"), ("3", "0"), ("0", "3"), ("-2", "4")):
+            code, out, err = run(capsys, "cross-check", "--nmax", nmax,
+                                 "--qmax", qmax)
+            assert code == 65, (nmax, qmax)
+            assert out == ""
+            assert err.startswith("error: ")
+
 
 class TestErrorPaths:
     def test_malformed_graph_exit_64(self, tmp_path, capsys):
@@ -304,8 +324,9 @@ class TestErrorPaths:
         dot = tmp_path / "missing" / "out.dot"
         for argv in (("construct", "--graph", str(k33), "--t", "2"),
                      ("search", "--graph", str(k33), "--t", "2")):
-            code, _, err = run(capsys, *argv, "--emit-dot", str(dot))
+            code, out, err = run(capsys, *argv, "--emit-dot", str(dot))
             assert code == 64
+            assert out == ""
             assert err.startswith(f"error: cannot write {dot}: ")
             assert err.count("\n") == 1
 
