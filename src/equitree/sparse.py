@@ -9,7 +9,9 @@ ids, and runs in three phases:
    fixed positions of a deletion sequence, fill the remaining positions
    with low-degree vertices, delete the sequence and record it.  A hub
    configuration is deleted together with some of its 2-neighbors
-   instead, to be re-inserted two per class.
+   instead, to be re-inserted two per class.  All three peels first scan
+   for a vertex of degree <= 1, else a 2-vertex with a light neighbor;
+   the outerplanar peel needs no other pattern.
 2. Give the at most t vertices left distinct colors in id order.
 3. Walk the recorded steps backwards, extending the coloring one step at
    a time.
@@ -44,15 +46,12 @@ from .errors import (
 )
 from .graph import UNBOUNDED, Graph, remove_vertices
 
-# Configuration kinds, named for what they look like.
+# Configuration kinds, named for what they look like.  The first two are
+# the shared scan of all three peels; the outerplanar peel needs no other.
 LOW_VERTEX = "low_vertex"
 DEGREE_TWO_LINK = "degree_two_link"
 DEGREE_THREE_LINK = "degree_three_link"
 TWO_NEIGHBOR_HUB = "two_neighbor_hub"
-ADJACENT_TWO_PAIR = "adjacent_two_pair"
-TRIANGLE_WITH_TWO = "triangle_with_two"
-TWIN_TRIANGLES = "twin_triangles"
-REDUCIBLE_EDGE = "reducible_edge"
 
 _FILL_BUDGET = 20000
 
@@ -152,15 +151,24 @@ class _Residual:
 # ---- configuration finders --------------------------------------------------
 
 
-def _find_girth5(res: _Residual) -> Configuration:
+def _find_link(res: _Residual, light: int) -> Configuration | None:
+    """A vertex of degree <= 1, else a 2-vertex with a neighbor of degree <= light."""
     deg, adj = res.deg, res.adj
     low = res.with_degree(0, 1)
     if low:
         return Configuration(LOW_VERTEX, {"x": min(low)})
     for v in sorted(res.with_degree(2)):
-        light = [u for u in sorted(adj[v]) if deg[u] <= 6]
-        if light:
-            return Configuration(DEGREE_TWO_LINK, {"x": v, "y": light[0]})
+        near = [u for u in sorted(adj[v]) if deg[u] <= light]
+        if near:
+            return Configuration(DEGREE_TWO_LINK, {"x": v, "y": near[0]})
+    return None
+
+
+def _find_girth5(res: _Residual) -> Configuration:
+    deg, adj = res.deg, res.adj
+    cfg = _find_link(res, 6)
+    if cfg is not None:
+        return cfg
     for v in sorted(res.with_degree(3)):
         nbrs = sorted(adj[v])
         fours = [u for u in nbrs if deg[u] <= 4]
@@ -183,13 +191,9 @@ def _find_girth5(res: _Residual) -> Configuration:
 
 def _find_girth6(res: _Residual) -> Configuration:
     deg, adj = res.deg, res.adj
-    low = res.with_degree(0, 1)
-    if low:
-        return Configuration(LOW_VERTEX, {"x": min(low)})
-    for v in sorted(res.with_degree(2)):
-        light = [u for u in sorted(adj[v]) if deg[u] <= 4]
-        if light:
-            return Configuration(DEGREE_TWO_LINK, {"x": v, "y": light[0]})
+    cfg = _find_link(res, 4)
+    if cfg is not None:
+        return cfg
     for v in sorted(res.with_degree(5)):
         twos = [u for u in sorted(adj[v]) if deg[u] == 2]
         if len(twos) == 5:
@@ -203,55 +207,13 @@ def _find_girth6(res: _Residual) -> Configuration:
 
 
 def _find_outerplanar(res: _Residual) -> Configuration:
-    deg, adj = res.deg, res.adj
-    low = res.with_degree(0, 1)
-    if low:
-        return Configuration(LOW_VERTEX, {"x": min(low)})
-    two_set = res.with_degree(2)
-    twos = sorted(two_set)
-    for u in twos:
-        pair = adj[u] & two_set
-        if pair:
-            return Configuration(ADJACENT_TWO_PAIR, {"u": u, "v": min(pair)})
-    for u in twos:
-        a, b = sorted(adj[u])
-        if b in adj[a]:
-            for v, w in ((a, b), (b, a)):
-                if deg[v] == 3:
-                    return Configuration(
-                        TRIANGLE_WITH_TWO, {"u": u, "v": v, "w": w}
-                    )
-    for w in sorted(res.with_degree(4)):
-        nbrs = sorted(adj[w])
-        pairs = [
-            (p, q)
-            for i, p in enumerate(nbrs)
-            for q in nbrs[i + 1:]
-            if q in adj[p]
-        ]
-        for p1, q1 in pairs:
-            for p2, q2 in pairs:
-                if {p1, q1} & {p2, q2}:
-                    continue
-                first = [c for c in (p1, q1) if deg[c] == 2]
-                second = [c for c in (p2, q2) if deg[c] == 2]
-                if first and second:
-                    u = first[0]
-                    v = q1 if u == p1 else p1
-                    x = second[0]
-                    y = q2 if x == p2 else p2
-                    return Configuration(
-                        TWIN_TRIANGLES,
-                        {"u": u, "v": v, "w": w, "x": x, "y": y},
-                    )
-    for x in twos:
-        light = [u for u in sorted(adj[x]) if deg[u] <= 4]
-        if light:
-            return Configuration(REDUCIBLE_EDGE, {"x": x, "y": light[0]})
-    raise ConfigurationNotFoundError(
-        "no reducible configuration found; the graph is outside the "
-        "outerplanar class this algorithm covers"
-    )
+    cfg = _find_link(res, 4)
+    if cfg is None:
+        raise ConfigurationNotFoundError(
+            "no reducible configuration found; the graph is outside the "
+            "outerplanar class this algorithm covers"
+        )
+    return cfg
 
 
 def find_reducible_girth5(g: Graph) -> Configuration:
@@ -277,10 +239,13 @@ def find_reducible_girth6(g: Graph) -> Configuration:
 def find_reducible_outerplanar(g: Graph) -> Configuration:
     """Reducible pattern for outerplanar graphs.
 
-    Order: a vertex of degree <= 1; two adjacent 2-vertices; a triangle
-    containing a 2-vertex and a 3-vertex; two triangles sharing a
-    4-vertex, each with its own 2-vertex; finally any edge xy with
-    d(x) = 2 and d(y) <= 4, which subsumes the richer patterns.
+    Order: a vertex of degree <= 1; a 2-vertex x with a neighbor y of
+    degree <= 4.  One pattern is enough: each configuration of the
+    structural lemma (two adjacent 2-vertices, a triangle with a 2-vertex
+    and a 3-vertex, two triangles sharing a 4-vertex, each with its own
+    2-vertex) contains such an edge xy, and a step pins only x at position
+    1 (one neighbor outside the sequence) and y at position 2 (at most 3),
+    so the richer patterns only ranked equivalent steps.
     """
     return _find_outerplanar(_Residual(g))
 
@@ -542,28 +507,17 @@ def _girth6_level(res: _Residual, t: int) -> _Step:
         return _remove_for_reinsertion(
             res, [cfg["x"], *cfg["twos"][:3]], (2, 2, 1, 1)
         )
-    if cfg.kind == LOW_VERTEX:
-        pins = {1: cfg["x"], 2: _low_partner(res, cfg["x"])}
-    else:
-        pins = {1: cfg["x"], 2: cfg["y"]}
-    return _fill(res, pins, 2)
+    return _fill(res, _link_pins(res, cfg), 2)
 
 
-def _outerplanar_pins(res: _Residual, cfg: Configuration) -> dict[int, int]:
-    kind = cfg.kind
-    if kind == LOW_VERTEX:
-        return {1: cfg["x"], 2: _low_partner(res, cfg["x"])}
-    if kind == ADJACENT_TWO_PAIR:
-        return {1: cfg["u"], 2: cfg["v"]}
-    if kind == TRIANGLE_WITH_TWO:
-        return {1: cfg["u"], 2: cfg["v"]}
-    if kind == TWIN_TRIANGLES:
-        return {1: cfg["u"], 2: cfg["w"]}
-    return {1: cfg["x"], 2: cfg["y"]}
+def _link_pins(res: _Residual, cfg: Configuration) -> dict[int, int]:
+    """Positions 1 and 2 for a LOW_VERTEX or DEGREE_TWO_LINK step."""
+    x = cfg["x"]
+    return {1: x, 2: _low_partner(res, x) if cfg.kind == LOW_VERTEX else cfg["y"]}
 
 
 def _outerplanar_level(res: _Residual, t: int) -> _Step:
-    return _fill(res, _outerplanar_pins(res, _find_outerplanar(res)), t)
+    return _fill(res, _link_pins(res, _find_outerplanar(res)), t)
 
 
 # ---- public algorithms ------------------------------------------------------
@@ -600,8 +554,9 @@ def color_girth6(g: Graph, t: int) -> TreeColoring:
 def color_outerplanar(g: Graph, t: int) -> TreeColoring:
     """Equitable t-tree-coloring of an outerplanar graph, t >= 2.
 
-    Outerplanarity is trusted.  Every step pins two configuration
-    vertices at positions 1 and 2 and fills the rest greedily; an
+    Outerplanarity is trusted.  Every step pins a vertex of degree <= 1
+    and a partner of degree <= 3, or a 2-vertex and its neighbor of degree
+    <= 4, at positions 1 and 2 and fills the rest greedily; an
     outerplanar graph always has at least three vertices of degree at
     most 3, so the greedy fill has candidates even with two reserved.
     """

@@ -6,10 +6,12 @@ import pytest
 
 from equitree import (
     METHODS,
+    FEASIBLE,
     UNBOUNDED,
     Params,
     PreconditionError,
     TreeColoring,
+    brute_force_search,
     color_girth6,
     color_outerplanar,
     complete_bipartite,
@@ -57,6 +59,21 @@ def test_auto_on_relabeled_biclique(n):
             (Params(q, UNBOUNDED, 2), feasible_inf2(n, q) is not None),
         ):
             if feasible:
+                _assert_valid(g, construct(g, params), params)
+            else:
+                with pytest.raises(PreconditionError):
+                    construct(g, params)
+
+
+@pytest.mark.parametrize("k, d", [(0, 0), (0, UNBOUNDED), (UNBOUNDED, 0),
+                                  (1, 0), (0, 2)])
+def test_zero_cap_biclique_matches_oracle(k, d):
+    # A zero cap makes every class an independent set, one-sided in K_{n,n}.
+    for n in range(1, 7):
+        g = complete_bipartite(n)
+        for q in range(1, 2 * n + 3):
+            params = Params(q, k, d)
+            if brute_force_search(g, params).status == FEASIBLE:
                 _assert_valid(g, construct(g, params), params)
             else:
                 with pytest.raises(PreconditionError):

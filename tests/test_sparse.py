@@ -7,7 +7,6 @@ from itertools import permutations
 import pytest
 
 from equitree import (
-    ADJACENT_TWO_PAIR,
     ConfigurationNotFoundError,
     DEGREE_THREE_LINK,
     DEGREE_TWO_LINK,
@@ -17,9 +16,6 @@ from equitree import (
     NotEnoughVerticesError,
     Params,
     PreconditionError,
-    REDUCIBLE_EDGE,
-    TRIANGLE_WITH_TWO,
-    TWIN_TRIANGLES,
     TWO_NEIGHBOR_HUB,
     TreeColoring,
     color_girth5,
@@ -35,6 +31,7 @@ from equitree import (
     find_reducible_outerplanar,
     graph_from_edges,
     hex_grid,
+    is_forest,
     maximal_outerplanar_random,
     path,
     remove_vertices,
@@ -105,7 +102,7 @@ class TestGirth6Finder:
 
 
 # Two triangles (1,2,0) and (3,4,0) share the 4-vertex 0; vertices 2 and 4
-# are padded to degree 4 so no earlier pattern can match.
+# are padded to degree 4, so the 2-vertices 1 and 3 see only 4-vertices.
 _TWIN = graph_from_edges(7, [
     (1, 2), (1, 0), (2, 0),
     (3, 4), (3, 0), (4, 0),
@@ -118,31 +115,21 @@ class TestOuterplanarFinder:
         cfg = find_reducible_outerplanar(path(4))
         assert cfg.kind == LOW_VERTEX
 
-    def test_four_cycle_gives_adjacent_pair(self):
-        cfg = find_reducible_outerplanar(cycle(4))
-        assert cfg.kind == ADJACENT_TWO_PAIR
-        assert (cfg["u"], cfg["v"]) == (0, 1)
-
-    def test_diamond_gives_triangle_pattern(self):
-        diamond = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3),
-                                       (2, 3)])
-        cfg = find_reducible_outerplanar(diamond)
-        assert cfg.kind == TRIANGLE_WITH_TWO
-        assert cfg["u"] == 0
-        assert diamond.degree(cfg["v"]) == 3
-
-    def test_twin_triangles(self):
-        cfg = find_reducible_outerplanar(_TWIN)
-        assert cfg.kind == TWIN_TRIANGLES
-        assert cfg["w"] == 0
-        assert {cfg["u"], cfg["x"]} == {1, 3}
-
-    def test_reducible_edge_fallback(self):
-        theta = graph_from_edges(5, [(0, 2), (2, 1), (0, 3), (3, 1),
-                                     (0, 4), (4, 1)])
-        cfg = find_reducible_outerplanar(theta)
-        assert cfg.kind == REDUCIBLE_EDGE
-        assert cfg["x"] == 2 and cfg["y"] == 0
+    # Each lemma configuration (an adjacent 2-pair, a triangle with a
+    # 2-vertex and a 3-vertex, twin triangles) and a theta graph, which has
+    # none of them, give the same pattern: the lowest 2-vertex and its
+    # lowest neighbor of degree <= 4.
+    @pytest.mark.parametrize("g, link", [
+        (cycle(4), (0, 1)),
+        (graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]), (0, 1)),
+        (_TWIN, (1, 0)),
+        (graph_from_edges(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)]),
+         (2, 0)),
+    ], ids=["four_cycle", "diamond", "twin_triangles", "theta"])
+    def test_two_vertex_with_light_neighbor(self, g, link):
+        cfg = find_reducible_outerplanar(g)
+        assert cfg.kind == DEGREE_TWO_LINK
+        assert (cfg["x"], cfg["y"]) == link
 
     def test_k4_has_nothing(self):
         k4 = graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
@@ -387,7 +374,56 @@ class TestColorGirth6:
         assert verify(g, color_girth6(g, 2), Params(2)).verdict
 
 
+def _assert_equitable_forests(g, coloring, t):
+    """Class sizes and induced forests by graph.py's checkers, not verify."""
+    assert coloring.t == t and coloring.n == g.n
+    sizes = coloring.class_sizes()
+    assert max(sizes) - min(sizes) <= 1
+    for c in range(1, t + 1):
+        keep = set(coloring.color_class(c))
+        h = remove_vertices(g, [v for v in range(g.n) if v not in keep])[0]
+        assert is_forest(h), c
+
+
+def _fan(n):
+    """The apex 0 joined to every vertex of the path 1..n-1."""
+    return graph_from_edges(n, [(0, v) for v in range(1, n)]
+                            + [(v, v + 1) for v in range(1, n - 1)])
+
+
+def _two_core(g):
+    while True:
+        low = [v for v in range(g.n) if g.degree(v) <= 1]
+        if not low:
+            return g
+        g = remove_vertices(g, low)[0]
+
+
 class TestColorOuterplanar:
+    def test_spanning_subgraphs_and_fans(self):
+        # Pendant vertices, and 2-vertices beside the fan's apex; the 2-core
+        # of each graph has minimum degree >= 2, where only the link remains.
+        rng = random.Random(8)
+        graphs = [_fan(n) for n in range(2, 40)]
+        for _ in range(150):
+            mop = maximal_outerplanar_random(rng.randint(3, 70), rng.randrange(10**6))
+            keep = rng.choice((0.6, 0.8, 0.95))
+            graphs.append(graph_from_edges(
+                mop.n, [e for e in mop.edges() if rng.random() < keep]))
+        links = 0
+        for g in graphs:
+            for t in (2, 3, 4, 7):
+                _assert_equitable_forests(g, color_outerplanar(g, t), t)
+            core = _two_core(g)
+            if core.n:
+                cfg = find_reducible_outerplanar(core)
+                x, y = cfg["x"], cfg["y"]
+                assert cfg.kind == DEGREE_TWO_LINK
+                assert core.degree(x) == 2 and y in core.adjacency[x]
+                assert core.degree(y) <= 4
+                links += 1
+        assert links > 100
+
     def test_random_triangulations(self):
         for seed in range(3):
             for n in (5, 9, 14, 23):
@@ -492,10 +528,6 @@ def _reference_outerplanar(g, t):
     cfg = find_reducible_outerplanar(g)
     if cfg.kind == LOW_VERTEX:
         pins = {1: cfg["x"], 2: _reference_low_partner(g, cfg["x"])}
-    elif cfg.kind == TWIN_TRIANGLES:
-        pins = {1: cfg["u"], 2: cfg["w"]}
-    elif cfg.kind in (ADJACENT_TWO_PAIR, TRIANGLE_WITH_TWO):
-        pins = {1: cfg["u"], 2: cfg["v"]}
     else:
         pins = {1: cfg["x"], 2: cfg["y"]}
     return _reference_extend(g, pins, t,
