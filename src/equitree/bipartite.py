@@ -5,10 +5,11 @@ ids n..2n-1.  For q color classes write a = floor(2n/q) and r = 2n - a*q;
 an equitable coloring then has exactly r classes of size a+1 and q-r of
 size a.
 
-Two parameter variants are decided exactly.  Variant "11" (degree cap 1,
-diameter cap 1) forces every class to be a one-sided set or a single edge.
-Variant "inf2" (no degree cap, diameter cap 2) forces every class to induce
-a star, which in K_{n,n} means one-sided sets or one-plus-many mixed sets.
+A class induces a forest in K_{n,n} exactly when it is one-sided or a star
+whose lone vertex sits on the other side: the eight ClassCountVector shapes.
+The caps (k, d) only decide whether stars of size a+1 and of size a are
+allowed, so one scan, feasible_counts, decides every cap pair; feasible_11
+(degree and diameter cap 1) and feasible_inf2 (diameter cap 2) are cases.
 
 Every construction describes its coloring as a list of class shapes
 (count, from X, from Y): count classes, each taking that many vertices from
@@ -22,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .coloring import TreeColoring
+from .coloring import TreeColoring, _check_bound
 from .errors import InfeasibleVectorError, PreconditionError
+from .graph import UNBOUNDED
 
 
 def _require_instance(n: int, q: int) -> None:
@@ -51,7 +53,7 @@ def _layout(q: int, shapes) -> TreeColoring:
 
 @dataclass(frozen=True)
 class ClassCountVector:
-    """Counts of the eight class shapes of an equitable (q, inf, 2)-coloring.
+    """Counts of the eight class shapes of an equitable tree-coloring of K_{n,n}.
 
     Shapes are keyed by bulk side and size: x1 counts classes of a+1
     X-vertices, x2 of a X-vertices, x1p of a X-vertices plus one Y-vertex,
@@ -303,62 +305,75 @@ def infeasible_by_divisibility(n: int, t: int) -> bool:
     return t % 2 == 1 and (2 * n) % t == 0 and (2 * n) // t - t >= 2
 
 
-def _complementary_pair(n: int, q: int) -> tuple[SolutionPair, SolutionPair] | None:
-    """The first pair of solve_linear(floor(2n/q), n) with z1 + z2 = q, or None."""
-    pairs = solve_linear((2 * n) // q, n)
-    by_z = {p.z: p for p in pairs}
-    for p in pairs:
-        other = by_z.get(q - p.z)
-        if other is not None:
-            return p, other
-    return None
+def _star_ok(size: int, k: int | float, d: int | float) -> bool:
+    """Whether a star on size vertices meets the caps: its degree is size-1
+    and its diameter min(size-1, 2)."""
+    return size - 1 <= k and min(size - 1, 2) <= d
 
 
-def feasible_11(n: int, q: int) -> bool:
-    """Exact decision: does K_{n,n} admit an equitable (q,1,1)-tree-coloring?
+def _count_scan(n: int, q: int, k: int | float,
+                d: int | float) -> tuple[int, ...] | None:
+    """The eight counts of the feasible_counts witness, unvalidated, or None.
 
-    For a = floor(2n/q) >= 3 every class is one-sided, so feasibility is
-    the existence of two solution pairs with z1 + z2 = q.  Every a <= 2
-    works: q > 2n/3, so an odd q exceeds va11_upper(n) and takes the
-    disjoint-edge construction, and an even q takes the side split.
+    Scans the number sx of X-bulk classes downward.  With bx of them
+    large and c = n - a*sx, both sides balance when the lone vertices of
+    X-bulk stars outnumber those of Y-bulk stars by bx - c.  Stars fit in
+    the small classes when es and in the large ones when eb; a large star
+    implies a small one, so m = 1 - eb + es is 1 or 2 and the balance is
+    one interval test on bx.  The first sx that passes gives the witness,
+    with bx as large as possible and stars in the small classes first.
     """
     _require_instance(n, q)
-    return (2 * n) // q < 3 or _complementary_pair(n, q) is not None
-
-
-def feasible_inf2(n: int, q: int) -> ClassCountVector | None:
-    """Exact decision for (q, inf, 2), returning a witness vector when feasible.
-
-    Scans the number sx of X-bulk classes from q downward.  For fixed sx
-    the two consumption equations reduce to a single interval test on the
-    count bx of large X-bulk classes; the first sx admitting a bx yields
-    the canonical witness.  Returns None when no sx works.
-    """
-    _require_instance(n, q)
-    a = (2 * n) // q
-    r = 2 * n - a * q
+    a, r = divmod(2 * n, q)
     if a == 0:
-        return make_class_counts(n, q, x1=n, y1=n, x2=q - 2 * n)
-    for sx in range(q, -1, -1):
+        return (n, q - 2 * n, 0, 0, n, 0, 0, 0)
+    eb = int(_star_ok(a + 1, k, d))
+    es = int(_star_ok(a, k, d))
+    m = 1 - eb + es
+    # No larger sx passes: it would need r - sy > (c + es*sx) // m.
+    for sx in range(min(q, (n + m * (q - r)) // (a + m - es)), -1, -1):
         sy = q - sx
         c = n - a * sx
-        b_lo = max(0, r - sy, c - sy)
-        b_hi = min(sx, r, c + sx)
+        b_lo = max(0, r - sy, -((es * (sy - r) + eb * r - c) // m))
+        b_hi = min(sx, r, (c + es * sx) // m)
         if b_lo > b_hi:
             continue
         bx = b_hi
-        delta = bx - c
-        ey = max(0, -delta)
-        ex = delta + ey
         by = r - bx
-        t3 = max(0, bx + ex - sx)
-        u3 = max(0, by + ey - sy)
-        return make_class_counts(
-            n, q,
-            x1=bx - t3, x2=sx - bx - ex + t3, x1p=t3, x2p=ex - t3,
-            y1=by - u3, y2=sy - by - ey + u3, y1p=u3, y2p=ey - u3,
-        )
+        ex = max(0, bx - c)
+        ey = max(0, c - bx)
+        x1p = max(0, ex - es * (sx - bx))
+        y1p = max(0, ey - es * (sy - by))
+        return (bx - x1p, sx - bx - ex + x1p, x1p, ex - x1p,
+                by - y1p, sy - by - ey + y1p, y1p, ey - y1p)
     return None
+
+
+def feasible_counts(n: int, q: int, k: int | float = UNBOUNDED,
+                    d: int | float = UNBOUNDED) -> ClassCountVector | None:
+    """Exact decision for (q, k, d) on K_{n,n}, returning a witness vector when feasible.
+
+    Every forest class is one of the eight ClassCountVector shapes, and a
+    star shape is used only where it meets the caps, so the witness
+    realizes into an equitable (q, k, d)-tree-coloring.  Returns None when
+    there is none.
+    """
+    _check_bound(k, "k")
+    _check_bound(d, "d")
+    counts = _count_scan(n, q, k, d)
+    if counts is None:
+        return None
+    return make_class_counts(n, q, **dict(zip(_SHAPE_NAMES, counts)))
+
+
+def feasible_11(n: int, q: int) -> bool:
+    """Exact decision: does K_{n,n} admit an equitable (q,1,1)-tree-coloring?"""
+    return _count_scan(n, q, 1, 1) is not None
+
+
+def feasible_inf2(n: int, q: int) -> ClassCountVector | None:
+    """Exact decision for (q, inf, 2), returning a witness vector when feasible."""
+    return feasible_counts(n, q, UNBOUNDED, 2)
 
 
 def _last_feasible_suffix(n: int, start: int, feasible) -> int:
@@ -383,57 +398,68 @@ def exact_vainf2(n: int) -> int:
 # ---- construction drivers ---------------------------------------------------
 
 
-def construct_knn_11(n: int, q: int) -> TreeColoring:
-    """Build an equitable (q,1,1)-tree-coloring of K_{n,n} or raise.
+def _no_coloring(n: int, q: int, k: int | float,
+                d: int | float) -> PreconditionError:
+    return PreconditionError(
+        f"K_{{{n},{n}}} has no equitable ({q},{k},{d})-tree-coloring"
+    )
 
-    Even q uses the side split; odd q above va11_upper(n) the disjoint-edge
-    construction.  A remaining odd q is at most 2n/3, so a >= 3, every class
-    is one-sided, and a complementary pair of solution profiles decides it.
-    Raises PreconditionError exactly when feasible_11(n, q) is false.
+
+def construct_knn(n: int, q: int, k: int | float,
+                  d: int | float) -> TreeColoring:
+    """Build an equitable (q, k, d)-tree-coloring of K_{n,n} or raise.
+
+    Even q uses the side split, whose one-sided classes meet any caps.  Odd
+    q above va11_upper(n) with both caps at least 1 uses the disjoint-edge
+    construction.  Any other q realizes the feasible_counts witness.
+    Raises PreconditionError exactly when feasible_counts(n, q, k, d) is None.
     """
     _require_instance(n, q)
+    _check_bound(k, "k")
+    _check_bound(d, "d")
     if q % 2 == 0:
         return even_t_coloring(n, q)
-    if q > va11_upper(n):
+    if q > va11_upper(n) and k >= 1 and d >= 1:
         return odd_q_11_coloring(n, q)
-    pair = _complementary_pair(n, q)
-    if pair is None:
-        raise PreconditionError(
-            f"K_{{{n},{n}}} has no equitable ({q},1,1)-tree-coloring"
-        )
-    return two_solution_coloring(n, *pair)
+    ccv = feasible_counts(n, q, k, d)
+    if ccv is None:
+        raise _no_coloring(n, q, k, d)
+    return _layout(q, ccv._shapes())
+
+
+def construct_knn_11(n: int, q: int) -> TreeColoring:
+    """Build an equitable (q,1,1)-tree-coloring of K_{n,n} or raise."""
+    return construct_knn(n, q, 1, 1)
 
 
 def construct_knn_inf2(n: int, q: int) -> TreeColoring:
     """Build an equitable (q,inf,2)-tree-coloring of K_{n,n} or raise.
 
-    Even q uses the side split.  Odd q tries the closed-form class counts
-    first, then the disjoint-edge construction (its classes are edges and
-    singletons, fine at diameter 2), then the exact feasibility witness.
-    Raises PreconditionError exactly when feasible_inf2(n, q) is None.
+    Odd q tries the closed-form class counts first; every other case is
+    construct_knn's.  Raises PreconditionError exactly when
+    feasible_inf2(n, q) is None.
     """
-    _require_instance(n, q)
-    if q % 2 == 0:
-        return even_t_coloring(n, q)
-    return _counts_coloring(n, q, edge_fallback=True)
+    if q % 2:
+        try:
+            ccv = odd_q_inf2_counts(n, q)
+        except PreconditionError:
+            pass
+        else:
+            return _layout(q, ccv._shapes())
+    return construct_knn(n, q, UNBOUNDED, 2)
 
 
-def _counts_coloring(n: int, q: int, edge_fallback: bool = False) -> TreeColoring:
+def _counts_coloring(n: int, q: int) -> TreeColoring:
     """Realize the closed-form class counts of odd_q_inf2_counts, else the
-    feasible_inf2 witness; with edge_fallback, odd q at or above the
-    disjoint-edge bound takes that construction before the witness.
+    feasible_inf2 witness.
     """
     try:
         ccv = odd_q_inf2_counts(n, q)
     except PreconditionError:
-        if edge_fallback and q > va11_upper(n):
-            return odd_q_11_coloring(n, q)
         ccv = feasible_inf2(n, q)
         if ccv is None:
-            raise PreconditionError(
-                f"K_{{{n},{n}}} has no equitable ({q},inf,2)-tree-coloring"
-            ) from None
-    return realize_class_counts(n, q, ccv)
+            raise _no_coloring(n, q, UNBOUNDED, 2) from None
+    return _layout(q, ccv._shapes())
 
 
 # ---- recognizing biclique inputs -------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from equitree import (
     TreeColoring,
     UNBOUNDED,
     complete_bipartite,
+    construct_knn,
     construct_knn_11,
     construct_knn_inf2,
     cycle,
@@ -21,6 +23,7 @@ from equitree import (
     exact_va11,
     exact_vainf2,
     feasible_11,
+    feasible_counts,
     feasible_inf2,
     graph_from_edges,
     infeasible_by_divisibility,
@@ -453,21 +456,29 @@ def _reference_feasible(n, q, k, d):
 
 REFERENCE_N = 150
 CAPS = {"11": (1, 1), "inf2": (UNBOUNDED, 2)}
+CAP_VALUES = (0, 1, 2, 3, UNBOUNDED)
 
 
 @lru_cache(maxsize=None)
-def _reference_table(variant):
-    k, d = CAPS[variant]
+def _reference_table(k, d, n_max=REFERENCE_N):
     return {(n, q): _reference_feasible(n, q, k, d)
-            for n in range(1, REFERENCE_N + 1) for q in range(1, 2 * n + 3)}
+            for n in range(1, n_max + 1) for q in range(1, 2 * n + 3)}
 
 
 def _reference_threshold(variant, n):
     """Scan down from t = 2n, where every class is at most one vertex."""
     t = 2 * n
-    while t > 1 and _reference_table(variant)[n, t - 1]:
+    while t > 1 and _reference_table(*CAPS[variant])[n, t - 1]:
         t -= 1
     return t
+
+
+def _builds(build, *args):
+    try:
+        build(*args)
+    except PreconditionError:
+        return False
+    return True
 
 
 class TestAgainstShapeReference:
@@ -479,9 +490,9 @@ class TestAgainstShapeReference:
         assert not _reference_feasible(9, 3, UNBOUNDED, 2)
 
     def test_feasibility_verdicts(self):
-        for (n, q), expected in _reference_table("11").items():
+        for (n, q), expected in _reference_table(*CAPS["11"]).items():
             assert feasible_11(n, q) == expected, (n, q)
-        for (n, q), expected in _reference_table("inf2").items():
+        for (n, q), expected in _reference_table(*CAPS["inf2"]).items():
             assert (feasible_inf2(n, q) is not None) == expected, (n, q)
 
     def test_exact_thresholds(self):
@@ -493,12 +504,15 @@ class TestAgainstShapeReference:
         ("11", construct_knn_11), ("inf2", construct_knn_inf2),
     ])
     def test_constructors_raise_exactly_when_infeasible(self, variant, build):
-        for (n, q), expected in _reference_table(variant).items():
-            if n > 60:
-                continue
-            try:
-                build(n, q)
-                built = True
-            except PreconditionError:
-                built = False
-            assert built == expected, (n, q)
+        for (n, q), expected in _reference_table(*CAPS[variant], 60).items():
+            assert _builds(build, n, q) == expected, (n, q)
+
+    @pytest.mark.parametrize("k, d", product(CAP_VALUES, repeat=2))
+    def test_every_cap_pair(self, k, d):
+        for (n, q), expected in _reference_table(k, d, 60).items():
+            witness = feasible_counts(n, q, k, d)
+            assert (witness is not None) == expected, (n, q)
+            if witness is not None:
+                assert all(_shape_ok(x, y, k, d)
+                           for count, x, y in witness._shapes() if count), (n, q)
+            assert _builds(construct_knn, n, q, k, d) == expected, (n, q)

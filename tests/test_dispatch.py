@@ -1,6 +1,8 @@
 """The library's construction entry point: method choice and its one verify."""
 
 import random
+import re
+from itertools import product
 
 import pytest
 
@@ -65,10 +67,9 @@ def test_auto_on_relabeled_biclique(n):
                     construct(g, params)
 
 
-@pytest.mark.parametrize("k, d", [(0, 0), (0, UNBOUNDED), (UNBOUNDED, 0),
-                                  (1, 0), (0, 2)])
+@pytest.mark.parametrize("k, d", product((0, 1, 2, 3, UNBOUNDED), repeat=2))
 def test_zero_cap_biclique_matches_oracle(k, d):
-    # A zero cap makes every class an independent set, one-sided in K_{n,n}.
+    # Every cap pair, the zero caps (every class one-sided) among them.
     for n in range(1, 7):
         g = complete_bipartite(n)
         for q in range(1, 2 * n + 3):
@@ -78,6 +79,24 @@ def test_zero_cap_biclique_matches_oracle(k, d):
             else:
                 with pytest.raises(PreconditionError):
                     construct(g, params)
+
+
+@pytest.mark.parametrize("n, t, d", [(n, t, d) for n, t in ((8, 5), (9, 5), (11, 7))
+                                     for d in (2, 3, UNBOUNDED)])
+def test_degree_cap_two_biclique_matches_oracle(n, t, d):
+    # Degree cap 2 allows stars of size a = 3 but not of size a+1, and each
+    # of these colorings needs one: none is all one-sided.
+    g, params = complete_bipartite(n), Params(t, 2, d)
+    assert brute_force_search(g, params).status == FEASIBLE
+    _assert_valid(g, construct(g, params), params)
+
+
+@pytest.mark.parametrize("n, t, k, d", [(7, 3, 2, 2), (9, 3, 2, 2),
+                                        (43, 21, 2, 2), (8, 3, 3, 2)])
+def test_infeasible_capped_biclique_names_the_instance(n, t, k, d):
+    message = f"K_{{{n},{n}}} has no equitable ({t},{k},{d})-tree-coloring"
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        construct(complete_bipartite(n), Params(t, k, d))
 
 
 def test_single_class_on_cycle_raises():
