@@ -112,8 +112,9 @@ def make_class_counts(n: int, q: int, *, x1: int = 0, x2: int = 0,
         raise InfeasibleVectorError(
             "shapes with a-1 bulk vertices are impossible when a=0"
         )
+    shapes = vec._shapes()
     for side, i in (("X", 1), ("Y", 2)):
-        used = sum(shape[0] * shape[i] for shape in vec._shapes())
+        used = sum(shape[0] * shape[i] for shape in shapes)
         if used != n:
             raise InfeasibleVectorError(
                 f"{side}-side consumption is {used}, expected n={n}"
@@ -240,8 +241,7 @@ def odd_q_inf2_counts(n: int, q: int) -> ClassCountVector:
     is odd, a and r share parity, so the gap values 2r+2 and a+r are even
     (the split is exhaustive) and so is every numerator halved below.
     Raises InfeasibleVectorError when a case formula goes negative, which
-    happens for some (n, q) near the lower bound; callers fall back to
-    the exact feasibility scan.
+    happens for some (n, q) near the lower bound.
     """
     _require_instance(n, q)
     low = vainf2_upper(n)
@@ -398,13 +398,6 @@ def exact_vainf2(n: int) -> int:
 # ---- construction drivers ---------------------------------------------------
 
 
-def _no_coloring(n: int, q: int, k: int | float,
-                d: int | float) -> PreconditionError:
-    return PreconditionError(
-        f"K_{{{n},{n}}} has no equitable ({q},{k},{d})-tree-coloring"
-    )
-
-
 def construct_knn(n: int, q: int, k: int | float,
                   d: int | float) -> TreeColoring:
     """Build an equitable (q, k, d)-tree-coloring of K_{n,n} or raise.
@@ -423,7 +416,9 @@ def construct_knn(n: int, q: int, k: int | float,
         return odd_q_11_coloring(n, q)
     ccv = feasible_counts(n, q, k, d)
     if ccv is None:
-        raise _no_coloring(n, q, k, d)
+        raise PreconditionError(
+            f"K_{{{n},{n}}} has no equitable ({q},{k},{d})-tree-coloring"
+        )
     return _layout(q, ccv._shapes())
 
 
@@ -433,33 +428,8 @@ def construct_knn_11(n: int, q: int) -> TreeColoring:
 
 
 def construct_knn_inf2(n: int, q: int) -> TreeColoring:
-    """Build an equitable (q,inf,2)-tree-coloring of K_{n,n} or raise.
-
-    Odd q tries the closed-form class counts first; every other case is
-    construct_knn's.  Raises PreconditionError exactly when
-    feasible_inf2(n, q) is None.
-    """
-    if q % 2:
-        try:
-            ccv = odd_q_inf2_counts(n, q)
-        except PreconditionError:
-            pass
-        else:
-            return _layout(q, ccv._shapes())
+    """Build an equitable (q,inf,2)-tree-coloring of K_{n,n} or raise."""
     return construct_knn(n, q, UNBOUNDED, 2)
-
-
-def _counts_coloring(n: int, q: int) -> TreeColoring:
-    """Realize the closed-form class counts of odd_q_inf2_counts, else the
-    feasible_inf2 witness.
-    """
-    try:
-        ccv = odd_q_inf2_counts(n, q)
-    except PreconditionError:
-        ccv = feasible_inf2(n, q)
-        if ccv is None:
-            raise _no_coloring(n, q, UNBOUNDED, 2) from None
-    return _layout(q, ccv._shapes())
 
 
 # ---- recognizing biclique inputs -------------------------------------------

@@ -2,39 +2,17 @@
 
 from __future__ import annotations
 
-from .bipartite import (
-    _counts_coloring,
-    construct_knn,
-    detect_balanced_biclique,
-    even_t_coloring,
-    odd_q_11_coloring,
-    relabel_for_sides,
-)
+from .bipartite import construct_knn, detect_balanced_biclique, relabel_for_sides
 from .coloring import Params, TreeColoring, verify
 from .errors import ConfigurationNotFoundError, PreconditionError
 from .graph import UNBOUNDED, Graph
 from .sparse import color_girth5, color_girth6, color_outerplanar
 
-METHODS = ("auto", "even", "odd11", "classcounts", "girth5", "girth6",
-           "outerplanar")
+METHODS = ("auto", "girth5", "girth6", "outerplanar")
 
 
 def _build(g: Graph, params: Params, method: str) -> TreeColoring:
     t = params.t
-    if method in ("even", "odd11", "classcounts"):
-        sides = detect_balanced_biclique(g)
-        if sides is None:
-            raise PreconditionError(
-                f"method {method!r} needs a balanced complete bipartite graph"
-            )
-        n = len(sides[0])
-        if method == "even":
-            base = even_t_coloring(n, t)
-        elif method == "odd11":
-            base = odd_q_11_coloring(n, t)
-        else:
-            base = _counts_coloring(n, t)
-        return relabel_for_sides(base, *sides)
     if method == "girth5":
         return color_girth5(g, t)
     if method == "girth6":

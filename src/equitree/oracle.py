@@ -35,8 +35,12 @@ class SearchBudget:
 
     def __post_init__(self) -> None:
         # Written so that a NaN time cap fails too.
-        if self.max_nodes < 1 or not self.time_cap > 0:
-            raise PreconditionError("search budget must be positive")
+        nodes = self.max_nodes
+        if (isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 1
+                or not self.time_cap > 0):
+            raise PreconditionError(
+                "search budget needs an int max_nodes >= 1 and a positive time_cap"
+            )
 
 
 @dataclass(frozen=True)

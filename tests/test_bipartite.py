@@ -360,8 +360,8 @@ class TestConstructDrivers:
             construct_knn_inf2(9, 3)
 
     def test_gap_instance_still_constructs(self):
-        """(10, 7) defeats the case formulas but is feasible, so the
-        driver must fall back to the feasibility witness."""
+        """(10, 7) defeats the odd_q_inf2_counts case formulas but is
+        feasible, so the driver builds it from the feasible_counts witness."""
         _check_inf2(10, 7, construct_knn_inf2(10, 7))
 
 
@@ -454,7 +454,7 @@ def _reference_feasible(n, q, k, d):
     return bool(reach >> n & 1)
 
 
-REFERENCE_N = 150
+REFERENCE_N = 200
 CAPS = {"11": (1, 1), "inf2": (UNBOUNDED, 2)}
 CAP_VALUES = (0, 1, 2, 3, UNBOUNDED)
 

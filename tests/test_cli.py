@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process through main()."""
 
+import ast
 import io
 import json
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from equitree import cli, parse_edge_list
+from equitree import ClassCountVector, cli, parse_edge_list
 from equitree.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -105,9 +106,9 @@ class TestConstructVerifyRoundTrip:
             graphs[family[0]] = tmp_path / f"{family[0]}.txt"
             graphs[family[0]].write_text(out)
         for family, extra in (
-                ("knn", ["--t", "4", "--method", "even"]),
-                ("knn", ["--t", "5", "--method", "odd11"]),
-                ("knn", ["--t", "5", "--method", "classcounts", "--d", "2"]),
+                ("knn", ["--t", "4"]),
+                ("knn", ["--t", "5"]),
+                ("knn", ["--t", "5", "--d", "2"]),
                 ("dodecahedron", ["--t", "3", "--method", "girth5"]),
                 ("hexgrid", ["--t", "2", "--method", "girth6"])):
             code, out, _ = run(capsys, "construct", "--graph",
@@ -115,6 +116,15 @@ class TestConstructVerifyRoundTrip:
             assert code == 0, extra
             payload = json.loads(out)
             assert payload["t"] == int(extra[1])
+
+    def test_removed_biclique_methods_exit_2(self, k33, capsys):
+        # auto builds every K_{n,n} instance these used to force.
+        for method in ("even", "odd11", "classcounts"):
+            with pytest.raises(SystemExit) as exc:
+                main(["construct", "--graph", str(k33), "--t", "2",
+                      "--method", method])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_method_on_wrong_family(self, k33, capsys):
         code, _, err = run(capsys, "construct", "--graph", str(k33),
@@ -440,3 +450,28 @@ def test_readme_blocks_run_in_order(tmp_path, capsys, monkeypatch):
                 dot = tmp_path / argv[argv.index("--emit-dot") + 1]
                 assert dot.read_text().startswith("graph coloring {")
     assert written == read
+
+
+def test_readme_python_block_states_its_values():
+    """README's python block runs, and each expression whose comment
+    states a value evaluates to it."""
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    namespace, values = {}, {}
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values[ast.get_source_segment(block, stmt)] = eval(
+                compile(ast.Expression(stmt.value), "README", "eval"), namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    comments = {line.split("#")[0].strip(): line.split("#")[1].strip()
+                for line in block.splitlines()
+                if "#" in line and not line.lstrip().startswith("#")}
+    for source, value in (("feasible_11(43, 21)", False),
+                          ("exact_va11(43)", 22),
+                          ("report.verdict", True),
+                          ("exact_vainf2(65)", 8)):
+        assert type(values[source]) is type(value), source
+        assert values[source] == value, source
+        assert comments[source].split(",")[0] == str(value), source
+    assert isinstance(values["feasible_counts(8, 5, 2, 2)"], ClassCountVector)
+    assert "ClassCountVector" in comments["feasible_counts(8, 5, 2, 2)"]

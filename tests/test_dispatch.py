@@ -21,13 +21,16 @@ from equitree import (
     construct,
     cycle,
     dodecahedron,
+    even_t_coloring,
     feasible_11,
     feasible_inf2,
     graph_from_edges,
     is_forest,
     maximal_outerplanar_random,
+    odd_q_11_coloring,
     path,
     remove_vertices,
+    va11_upper,
 )
 from equitree import cli, dispatch
 
@@ -65,6 +68,20 @@ def test_auto_on_relabeled_biclique(n):
             else:
                 with pytest.raises(PreconditionError):
                     construct(g, params)
+
+
+@pytest.mark.parametrize("k, d", product((0, 1, 2, 3, UNBOUNDED), repeat=2))
+def test_auto_biclique_uses_the_closed_forms(k, d):
+    # The side split for every even t; the disjoint edges for odd t above
+    # va11_upper(n) once both caps allow an edge.
+    for n in range(1, 31):
+        g = complete_bipartite(n)
+        for t in range(2, 2 * n + 3, 2):
+            assert construct(g, Params(t, k, d)) == even_t_coloring(n, t)
+        if k >= 1 and d >= 1:
+            # va11_upper(n) is even, so this runs over the odd t above it.
+            for t in range(va11_upper(n) + 1, 2 * n + 3, 2):
+                assert construct(g, Params(t, k, d)) == odd_q_11_coloring(n, t)
 
 
 @pytest.mark.parametrize("k, d", product((0, 1, 2, 3, UNBOUNDED), repeat=2))
@@ -121,12 +138,6 @@ def test_auto_two_classes_falls_back_to_outerplanar():
     coloring = construct(g, Params(2))
     assert coloring == color_outerplanar(g, 2)
     _assert_valid(g, coloring, Params(2))
-
-
-def test_explicit_method_on_non_biclique_raises():
-    for method in ("even", "odd11", "classcounts"):
-        with pytest.raises(PreconditionError, match="balanced complete"):
-            construct(cycle(6), Params(2), method)
 
 
 def test_unknown_method_raises():

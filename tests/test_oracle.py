@@ -108,6 +108,11 @@ class TestBruteForce:
             SearchBudget(10, 0.0)
         with pytest.raises(PreconditionError):
             SearchBudget(10, float("nan"))
+        # A NaN node cap compares false with everything, so it would turn
+        # the cap off; non-int caps go the way of Params.t.
+        for nodes in (float("nan"), 2.5, True, False, 1.0, "5", None):
+            with pytest.raises(PreconditionError, match="max_nodes"):
+                SearchBudget(max_nodes=nodes)
 
     def test_symmetry_pruning_preserves_verdict(self):
         """The symmetry-reduced search must agree with the raw search."""
