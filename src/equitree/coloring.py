@@ -84,7 +84,9 @@ class ClassCheck:
     ``diameter`` is the largest eccentricity of any vertex within its own
     component: the largest component diameter, whether or not the class is a
     forest.  Classes of size 0 or 1, and independent sets of any size,
-    report ``ClassCheck(size, True, 0, 0)``.
+    report ``ClassCheck(size, True, 0, 0)``.  A class of at most three
+    vertices is fixed, up to isomorphism, by its induced edge count, so its
+    check is a constant of ``_SMALL``; the triangle is ``(3, False, 2, 1)``.
     """
 
     size: int
@@ -103,8 +105,11 @@ class VerificationReport:
     first_violation: str = ""
 
 
-# Reports for the classes of size 0 and 1, shared by every verify call.
-_TRIVIAL = (ClassCheck(0, True, 0, 0), ClassCheck(1, True, 0, 0))
+# The check of each class of at most three vertices, by size, then induced edges.
+_SMALL = ((ClassCheck(0, True, 0, 0),), (ClassCheck(1, True, 0, 0),),
+          (ClassCheck(2, True, 0, 0), ClassCheck(2, True, 1, 1)),
+          (ClassCheck(3, True, 0, 0), ClassCheck(3, True, 1, 1),
+           ClassCheck(3, True, 2, 2), ClassCheck(3, False, 2, 1)))
 
 
 # A class's induced adjacency: a dict by vertex, or a list indexed by vertex.
@@ -140,17 +145,29 @@ def _measure(inside: _Inside, root: int) -> tuple[list[int], int | None]:
 
 
 def _class_checks(g: Graph, members: list[int]) -> ClassCheck:
-    """Measure a class of two or more vertices in time linear in its induced size.
+    """Measure a class in time linear in its induced size.
 
-    Each component goes through _measure; only a component with a cycle
-    pays a sweep from every vertex, for the reported diameter.
+    A class of at most three vertices is looked up in _SMALL by its induced
+    edge count, one adjacency test per pair.  In a larger class each
+    component goes through _measure; only a component with a cycle pays a
+    sweep from every vertex, for the reported diameter.
     """
-    mset = set(members)
     adjacency = g.adjacency
+    size = len(members)
+    if size == 2:
+        u, v = members
+        return _SMALL[2][v in adjacency[u]]
+    if size == 3:
+        u, v, w = members
+        near = adjacency[u]
+        return _SMALL[3][(v in near) + (w in near) + (w in adjacency[v])]
+    if size < 2:
+        return _SMALL[size][0]
+    mset = set(members)
     inside = {v: adjacency[v] & mset for v in members}
     max_degree = max(map(len, inside.values()))
     if not max_degree:
-        return ClassCheck(len(members), True, 0, 0)
+        return ClassCheck(size, True, 0, 0)
 
     seen: set[int] = set()
     forest = True
@@ -165,7 +182,7 @@ def _class_checks(g: Graph, members: list[int]) -> ClassCheck:
             ecc = max(_sweep(inside, root)[1] for root in comp)
         if ecc > diameter:
             diameter = ecc
-    return ClassCheck(len(members), forest, max_degree, diameter)
+    return ClassCheck(size, forest, max_degree, diameter)
 
 
 def verify(g: Graph, coloring: TreeColoring, params: Params) -> VerificationReport:
@@ -204,9 +221,6 @@ def verify(g: Graph, coloring: TreeColoring, params: Params) -> VerificationRepo
     checks: list[ClassCheck] = []
     verdict = equitable
     for c, members in enumerate(classes, start=1):
-        if len(members) <= 1:
-            checks.append(_TRIVIAL[len(members)])
-            continue
         check = _class_checks(g, members)
         checks.append(check)
         if not check.is_forest:

@@ -35,9 +35,10 @@ class SearchBudget:
 
     def __post_init__(self) -> None:
         # Written so that a NaN time cap fails too.
-        nodes = self.max_nodes
+        nodes, cap = self.max_nodes, self.time_cap
         if (isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 1
-                or not self.time_cap > 0):
+                or isinstance(cap, bool) or not isinstance(cap, (int, float))
+                or not cap > 0):
             raise PreconditionError(
                 "search budget needs an int max_nodes >= 1 and a positive time_cap"
             )

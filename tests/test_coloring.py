@@ -212,6 +212,26 @@ class TestClassCheckSemantics:
         rep = verify(g, TreeColoring((1,) * 8, 1), Params(1))
         assert rep.classes == (ClassCheck(8, False, 2, 3),)
 
+    def test_edge_class_over_degree_cap(self):
+        rep = verify(path(4), TreeColoring((1, 1, 2, 2), 2), Params(2, 0))
+        assert not rep.verdict
+        assert rep.classes == (ClassCheck(2, True, 1, 1),) * 2
+        assert rep.first_violation == "class 1 has induced degree 1, above the cap 0"
+
+    def test_edge_class_over_diameter_cap(self):
+        rep = verify(path(4), TreeColoring((1, 1, 2, 2), 2), Params(2, 1, 0))
+        assert not rep.verdict
+        assert rep.first_violation == (
+            "class 1 has a component of diameter 1, above the cap 0")
+
+    def test_triangle_class(self):
+        # Class 1 is independent; class 2 is the triangle 0-1-2.
+        g = graph_from_edges(6, [(0, 1), (1, 2), (2, 0)])
+        rep = verify(g, TreeColoring((2, 2, 2, 1, 1, 1), 2), Params(2))
+        assert not rep.verdict
+        assert rep.classes == (ClassCheck(3, True, 0, 0), ClassCheck(3, False, 2, 1))
+        assert rep.first_violation == "class 2 contains a cycle"
+
 
 def _induced(g, members):
     keep = set(members)
@@ -240,6 +260,34 @@ def test_class_checks_match_independent_graph_queries():
                                        component_diameter_max(h))
             cyclic += not check.is_forest
     assert cyclic >= 50
+    assert time.monotonic() - start < 5.0
+
+
+def test_small_class_checks_match_independent_graph_queries():
+    """With t up to n most classes have at most three vertices: each of the
+    eight (size, induced edges) rows of sizes 0 to 3, the triangle included,
+    must occur and agree with graph.py's own checkers."""
+    rng = random.Random(2025)
+    start = time.monotonic()
+    rows = set()
+    for _ in range(400):
+        n = rng.randint(1, 16)
+        p = rng.choice((0.2, 0.5, 0.8, 1.0))
+        g = graph_from_edges(n, [(u, v) for u in range(n)
+                                 for v in range(u + 1, n) if rng.random() < p])
+        t = rng.randint(1, n + 2)
+        coloring = TreeColoring(
+            tuple(rng.randint(1, t) for _ in range(n)), t)
+        rep = verify(g, coloring, Params(t))
+        for c, check in enumerate(rep.classes, start=1):
+            h = _induced(g, coloring.color_class(c))
+            assert check == ClassCheck(h.n, is_forest(h),
+                                       max(h.degrees(), default=0),
+                                       component_diameter_max(h))
+            if h.n <= 3:
+                rows.add((h.n, h.m))
+    assert rows == {(0, 0), (1, 0), (2, 0), (2, 1),
+                    (3, 0), (3, 1), (3, 2), (3, 3)}
     assert time.monotonic() - start < 5.0
 
 

@@ -114,6 +114,18 @@ class TestBruteForce:
             with pytest.raises(PreconditionError, match="max_nodes"):
                 SearchBudget(max_nodes=nodes)
 
+    # A bool is an int to Python, so True would pass as a one-second cap;
+    # a string or None would reach the comparison and raise TypeError.
+    @pytest.mark.parametrize("cap", [True, False, "5", None, [1.0], complex(1, 0),
+                                     float("nan"), -1, 0])
+    def test_bad_time_cap_rejected(self, cap):
+        with pytest.raises(PreconditionError, match="positive time_cap"):
+            SearchBudget(10, cap)
+
+    @pytest.mark.parametrize("cap", [1, 0.5, float("inf")])
+    def test_good_time_cap_accepted(self, cap):
+        assert SearchBudget(10, cap).time_cap == cap
+
     def test_symmetry_pruning_preserves_verdict(self):
         """The symmetry-reduced search must agree with the raw search."""
         rng = random.Random(55)
