@@ -376,23 +376,27 @@ def feasible_inf2(n: int, q: int) -> ClassCountVector | None:
     return feasible_counts(n, q, UNBOUNDED, 2)
 
 
-def _last_feasible_suffix(n: int, start: int, feasible) -> int:
-    s = max(1, start)
-    while s > 1 and feasible(n, s - 1):
-        s -= 1
-    return s
+def _threshold(n: int, k: int | float, d: int | float) -> int:
+    """Least t with every t' >= t feasible for (t', k, d) on K_{n,n}, caps >= 1.
+
+    From q = n on no class has more than 2 vertices, which meets every cap
+    of at least 1, so the scan starts at q = n and stops at an infeasible q.
+    """
+    _require_instance(n, 1)
+    t = n
+    while t > 1 and _count_scan(n, t - 1, k, d) is not None:
+        t -= 1
+    return t
 
 
 def exact_va11(n: int) -> int:
     """Least t such that every t' >= t admits an equitable (t',1,1)-coloring."""
-    return _last_feasible_suffix(n, va11_upper(n), feasible_11)
+    return _threshold(n, 1, 1)
 
 
 def exact_vainf2(n: int) -> int:
     """Least t such that every t' >= t admits an equitable (t',inf,2)-coloring."""
-    return _last_feasible_suffix(
-        n, vainf2_upper(n), lambda m, q: feasible_inf2(m, q) is not None
-    )
+    return _threshold(n, UNBOUNDED, 2)
 
 
 # ---- construction drivers ---------------------------------------------------
@@ -414,12 +418,12 @@ def construct_knn(n: int, q: int, k: int | float,
         return even_t_coloring(n, q)
     if q > va11_upper(n) and k >= 1 and d >= 1:
         return odd_q_11_coloring(n, q)
-    ccv = feasible_counts(n, q, k, d)
-    if ccv is None:
+    counts = _count_scan(n, q, k, d)
+    if counts is None:
         raise PreconditionError(
             f"K_{{{n},{n}}} has no equitable ({q},{k},{d})-tree-coloring"
         )
-    return _layout(q, ccv._shapes())
+    return _layout(q, ClassCountVector(*divmod(2 * n, q), *counts)._shapes())
 
 
 def construct_knn_11(n: int, q: int) -> TreeColoring:

@@ -67,10 +67,11 @@ def brute_force_search(g: Graph, params: Params,
     n, t, k, d = g.n, params.t, params.k, params.d
     adjacency = g.adjacency
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    # No class passes hi and at most n mod t classes reach it, so the
-    # classes below n // t never lack more vertices than remain uncolored.
+    # No class passes hi and at most full classes reach it, so the classes
+    # below n // t never lack more vertices than remain uncolored.  If t | n,
+    # at_cap == full only once all are colored: no class is at hi - 1.
     hi = -(-n // t)
-    full_allowed = n % t
+    full = n % t or t
     colors = [0] * n
     sizes = [0] * (t + 1)
     # same[v]: the colored neighbors of v in v's class.
@@ -89,14 +90,14 @@ def brute_force_search(g: Graph, params: Params,
             for u in same[v]:
                 same[u].remove(v)
             same[v].clear()
-            if full_allowed and sizes[c] == hi:
+            if sizes[c] == hi:
                 at_cap -= 1
             sizes[c] -= 1
             colors[v] = 0
         top = min(t, used[index] + 1) if symmetry else t
         c += 1
         while c <= top and (sizes[c] >= hi or (
-                full_allowed and sizes[c] == hi - 1 and at_cap == full_allowed)):
+                sizes[c] == hi - 1 and at_cap == full)):
             c += 1
         if c > top:
             index -= 1
@@ -109,7 +110,7 @@ def brute_force_search(g: Graph, params: Params,
             return SearchResult(BUDGET_EXCEEDED, None, nodes)
         colors[v] = c
         sizes[c] += 1
-        if full_allowed and sizes[c] == hi:
+        if sizes[c] == hi:
             at_cap += 1
         # Every accepted partial coloring meets the caps, so only v and its
         # new class neighbors can break the degree cap, and only v's

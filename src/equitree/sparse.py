@@ -34,7 +34,7 @@ ConfigurationNotFoundError surfaces instead of a wrong coloring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .coloring import Params, TreeColoring, _class_checks, verify
@@ -102,17 +102,17 @@ class _Residual:
     """The vertices of a graph not yet peeled, on the graph's own ids.
 
     ``adj[v]`` and ``deg[v]`` of a live vertex count live neighbors only,
-    and ``by_degree[d]`` holds the live vertices of degree d.  A deleted
-    vertex keeps its neighbor set, so deletions undone in reverse order
-    restore the residual exactly.
+    and ``by_degree[d]`` holds the live vertices of degree d.  There is a
+    bucket for every degree up to 9, the highest a finder scans, so the
+    finders read buckets in place and never copy one.  A deleted vertex
+    keeps its neighbor set, so deletions undone in reverse order restore
+    the residual exactly.
     """
 
     def __init__(self, g: Graph) -> None:
         self.adj = [set(nbrs) for nbrs in g.adjacency]
         self.deg = g.degrees()
-        self.by_degree: list[set[int]] = [
-            set() for _ in range(max(self.deg, default=0) + 1)
-        ]
+        self.by_degree = [set() for _ in range(max([9, *self.deg]) + 1)]
         for v, d in enumerate(self.deg):
             self.by_degree[d].add(v)
         self.size = g.n
@@ -139,25 +139,17 @@ class _Residual:
         by_degree[deg[v]].add(v)
         self.size += 1
 
-    def with_degree(self, *degrees: int) -> set[int]:
-        """Live vertices whose degree is one of the given values."""
-        by_degree = self.by_degree
-        return set().union(*(by_degree[d] for d in degrees if d < len(by_degree)))
-
-    def live(self) -> list[int]:
-        return sorted(self.with_degree(*range(len(self.by_degree))))
-
 
 # ---- configuration finders --------------------------------------------------
 
 
 def _find_link(res: _Residual, light: int) -> Configuration | None:
     """A vertex of degree <= 1, else a 2-vertex with a neighbor of degree <= light."""
-    deg, adj = res.deg, res.adj
-    low = res.with_degree(0, 1)
+    deg, adj, by_degree = res.deg, res.adj, res.by_degree
+    low = [min(bucket) for bucket in by_degree[:2] if bucket]
     if low:
         return Configuration(LOW_VERTEX, {"x": min(low)})
-    for v in sorted(res.with_degree(2)):
+    for v in sorted(by_degree[2]):
         near = [u for u in sorted(adj[v]) if deg[u] <= light]
         if near:
             return Configuration(DEGREE_TWO_LINK, {"x": v, "y": near[0]})
@@ -169,7 +161,7 @@ def _find_girth5(res: _Residual) -> Configuration:
     cfg = _find_link(res, 6)
     if cfg is not None:
         return cfg
-    for v in sorted(res.with_degree(3)):
+    for v in sorted(res.by_degree[3]):
         nbrs = sorted(adj[v])
         fours = [u for u in nbrs if deg[u] <= 4]
         sixes = [u for u in nbrs if deg[u] <= 6]
@@ -177,7 +169,7 @@ def _find_girth5(res: _Residual) -> Configuration:
             y = fours[0]
             z = min(u for u in sixes if u != y)
             return Configuration(DEGREE_THREE_LINK, {"x": v, "y": y, "z": z})
-    for v in sorted(res.with_degree(7, 8, 9)):
+    for v in sorted(chain.from_iterable(res.by_degree[7:10])):
         twos = [u for u in sorted(adj[v]) if deg[u] == 2]
         if len(twos) >= deg[v] - 1:
             return Configuration(
@@ -194,7 +186,7 @@ def _find_girth6(res: _Residual) -> Configuration:
     cfg = _find_link(res, 4)
     if cfg is not None:
         return cfg
-    for v in sorted(res.with_degree(5)):
+    for v in sorted(res.by_degree[5]):
         twos = [u for u in sorted(adj[v]) if deg[u] == 2]
         if len(twos) == 5:
             return Configuration(
@@ -252,12 +244,13 @@ def find_reducible_outerplanar(g: Graph) -> Configuration:
 
 def _low_partner(res: _Residual, x: int) -> int:
     """Lowest-id vertex besides x with at most 3 neighbors off {x, itself}."""
-    lows = []
-    for pool in (*res.by_degree[:4], res.with_degree(4) & res.adj[x]):
-        if x in pool:
-            pool = pool - {x}
-        if pool:
-            lows.append(min(pool))
+    by_degree = res.by_degree
+    # Take x out of its bucket for the scan rather than copy the bucket.
+    home = by_degree[res.deg[x]]
+    home.remove(x)
+    lows = [min(pool) for pool in (*by_degree[:4], by_degree[4] & res.adj[x])
+            if pool]
+    home.add(x)
     if not lows:
         raise ConfigurationNotFoundError(
             f"no vertex of residual degree <= 3 remains after removing {x}"
@@ -471,7 +464,7 @@ def _peel(g: Graph, t: int, level: Callable[[_Residual, int], _Step]) -> TreeCol
     while res.size > t:
         steps.append(level(res, t))
     colors = [0] * g.n
-    for c, v in enumerate(res.live(), start=1):
+    for c, v in enumerate(sorted(chain.from_iterable(res.by_degree)), start=1):
         colors[v] = c
     for step in reversed(steps):
         if isinstance(step, _Reinsertion):

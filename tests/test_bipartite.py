@@ -39,6 +39,7 @@ from equitree import (
     vainf2_upper,
     verify,
 )
+from equitree.bipartite import _threshold
 
 
 def _check_11(n, q, coloring):
@@ -321,6 +322,12 @@ class TestExactThresholds:
         assert exact_va11(5) == 4
         assert exact_va11(1) == 1
         assert exact_va11(2) == 2
+        # The notation finding: with a finite degree cap the threshold at
+        # n = 400 is 134, near n/3; with none it is 26, growing like sqrt(n).
+        for k, d in ((1, 1), (2, UNBOUNDED), (3, UNBOUNDED)):
+            assert _threshold(400, k, d) == 134, (k, d)
+        for k, d in ((UNBOUNDED, 2), (UNBOUNDED, 3), (UNBOUNDED, UNBOUNDED)):
+            assert _threshold(400, k, d) == 26, (k, d)
 
     def test_definition_against_feasibility_scan(self):
         for n in range(1, 26):
@@ -465,10 +472,11 @@ def _reference_table(k, d, n_max=REFERENCE_N):
             for n in range(1, n_max + 1) for q in range(1, 2 * n + 3)}
 
 
-def _reference_threshold(variant, n):
+def _reference_threshold(k, d, n, n_max=REFERENCE_N):
     """Scan down from t = 2n, where every class is at most one vertex."""
+    table = _reference_table(k, d, n_max)
     t = 2 * n
-    while t > 1 and _reference_table(*CAPS[variant])[n, t - 1]:
+    while t > 1 and table[n, t - 1]:
         t -= 1
     return t
 
@@ -497,8 +505,12 @@ class TestAgainstShapeReference:
 
     def test_exact_thresholds(self):
         for n in range(1, REFERENCE_N + 1):
-            assert exact_va11(n) == _reference_threshold("11", n), n
-            assert exact_vainf2(n) == _reference_threshold("inf2", n), n
+            assert exact_va11(n) == _reference_threshold(*CAPS["11"], n), n
+            assert exact_vainf2(n) == _reference_threshold(*CAPS["inf2"], n), n
+        for k, d in product((1, 2, 3, UNBOUNDED), repeat=2):
+            for n in range(1, 61):
+                expected = _reference_threshold(k, d, n, 60)
+                assert _threshold(n, k, d) == expected, (k, d, n)
 
     @pytest.mark.parametrize("variant, build", [
         ("11", construct_knn_11), ("inf2", construct_knn_inf2),

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from equitree import ClassCountVector, cli, parse_edge_list
+from equitree import (ClassCountVector, CrossCheckReport, Disagreement, cli,
+                      parse_edge_list)
 from equitree.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -116,6 +117,21 @@ class TestConstructVerifyRoundTrip:
             assert code == 0, extra
             payload = json.loads(out)
             assert payload["t"] == int(extra[1])
+
+    def test_unbounded_cap_round_trip(self, tmp_path, capsys):
+        _, out, _ = run(capsys, "gen", "--family", "knn", "--n", "6")
+        graph_file = tmp_path / "k66.txt"
+        graph_file.write_text(out)
+        code, out, _ = run(capsys, "construct", "--graph", str(graph_file),
+                           "--t", "3", "--k", "inf", "--d", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["k"], payload["d"]) == (None, 2)
+        cert = tmp_path / "cert.json"
+        cert.write_text(out)
+        code, out, _ = run(capsys, "verify", "--graph", str(graph_file),
+                           "--cert", str(cert))
+        assert (code, out.strip()) == (0, "valid")
 
     def test_removed_biclique_methods_exit_2(self, k33, capsys):
         # auto builds every K_{n,n} instance these used to force.
@@ -293,6 +309,18 @@ class TestCrossCheckCommand:
         assert payload["checked"] == 16
         assert payload["disagreements"] == []
 
+    def test_disagreement_is_listed(self, capsys, monkeypatch):
+        report = CrossCheckReport(
+            4, (Disagreement(2, 3, "inf2", "budget-exceeded", True),))
+        monkeypatch.setattr(cli, "cross_check_bipartite",
+                            lambda n_max, q_max: report)
+        code, out, _ = run(capsys, "cross-check", "--nmax", "2",
+                           "--qmax", "2")
+        assert code == 1
+        assert out == ("checked 4 instances, 1 disagreements\n"
+                       "  n=2 q=3 variant=inf2 oracle=budget-exceeded "
+                       "formula=feasible\n")
+
     def test_empty_grid_is_precondition_error(self, capsys):
         for nmax, qmax in (("0", "0"), ("3", "0"), ("0", "3"), ("-2", "4")):
             code, out, err = run(capsys, "cross-check", "--nmax", nmax,
@@ -375,6 +403,12 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as excinfo:
             main(["construct", "--graph", "x", "--t", "2", "--k", "wat"])
         assert excinfo.value.code == 2
+
+    def test_negative_bound_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["construct", "--graph", "x", "--t", "2", "--d", "-1"])
+        assert excinfo.value.code == 2
+        assert "bounds must be nonnegative" in capsys.readouterr().err
 
     def test_unexpected_exception_exits_70(self, capsys, monkeypatch):
         def boom(args):

@@ -560,10 +560,13 @@ class TestPeelMatchesRecursion:
             assert color_girth5(g, t).colors == _reference_girth5(g, t).colors, t
 
     def test_hub_reinsertions(self):
-        for b in (8, 9):
+        # (8, 3) and (9, 3) re-insert; the others pin the hub and two of
+        # its 2-neighbors and fill.
+        for b, t in ((8, 3), (9, 3), (7, 3), (7, 4), (8, 4), (9, 5)):
             g = _biclique(2, b)
-            assert (_peel(g, 3, _girth5_level).colors
-                    == _reference_girth5(g, 3).colors), b
+            assert find_reducible_girth5(g).kind == TWO_NEIGHBOR_HUB, b
+            assert (_peel(g, t, _girth5_level).colors
+                    == _reference_girth5(g, t).colors), (b, t)
         g = _biclique(2, 5)
         assert (_peel(g, 2, _girth6_level).colors
                 == _reference_girth6_two(g).colors)
