@@ -8,7 +8,7 @@ size a.
 A class induces a forest in K_{n,n} exactly when it is one-sided or a star
 whose lone vertex sits on the other side: the eight ClassCountVector shapes.
 The caps (k, d) only decide whether stars of size a+1 and of size a are
-allowed, so one scan, feasible_counts, decides every cap pair; feasible_11
+allowed, so one decider, feasible_counts, decides every cap pair; feasible_11
 (degree and diameter cap 1) and feasible_inf2 (diameter cap 2) are cases.
 
 Every construction describes its coloring as a list of class shapes
@@ -29,10 +29,9 @@ from .graph import UNBOUNDED
 
 
 def _require_instance(n: int, q: int) -> None:
-    if n < 1:
-        raise PreconditionError("side size n must be >= 1")
-    if q < 1:
-        raise PreconditionError("class count q must be >= 1")
+    for name, value in (("side size n", n), ("class count q", q)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise PreconditionError(f"{name} must be an int >= 1")
 
 
 def _layout(q: int, shapes) -> TreeColoring:
@@ -283,15 +282,13 @@ def odd_q_inf2_counts(n: int, q: int) -> ClassCountVector:
 
 def va11_upper(n: int) -> int:
     """Upper bound 2*floor((n+1)/3) for the strong (1,1) arboricity of K_{n,n}."""
-    if n < 1:
-        raise PreconditionError("va11_upper needs n >= 1")
+    _require_instance(n, 1)
     return 2 * ((n + 1) // 3)
 
 
 def vainf2_upper(n: int) -> int:
     """Upper bound 2*floor(floor((-1+sqrt(8n+9))/2)/2), exact integer arithmetic."""
-    if n < 1:
-        raise PreconditionError("vainf2_upper needs n >= 1")
+    _require_instance(n, 1)
     return 2 * (((isqrt(8 * n + 9) - 1) // 2) // 2)
 
 
@@ -311,17 +308,21 @@ def _star_ok(size: int, k: int | float, d: int | float) -> bool:
     return size - 1 <= k and min(size - 1, 2) <= d
 
 
-def _count_scan(n: int, q: int, k: int | float,
-                d: int | float) -> tuple[int, ...] | None:
+def _witness_counts(n: int, q: int, k: int | float,
+                    d: int | float) -> tuple[int, ...] | None:
     """The eight counts of the feasible_counts witness, unvalidated, or None.
 
-    Scans the number sx of X-bulk classes downward.  With bx of them
-    large and c = n - a*sx, both sides balance when the lone vertices of
-    X-bulk stars outnumber those of Y-bulk stars by bx - c.  Stars fit in
-    the small classes when es and in the large ones when eb; a large star
-    implies a small one, so m = 1 - eb + es is 1 or 2 and the balance is
-    one interval test on bx.  The first sx that passes gives the witness,
-    with bx as large as possible and stars in the small classes first.
+    With sx X-bulk classes, bx of them large and c = n - a*sx, both sides
+    balance when X-bulk stars have bx - c more lone vertices than Y-bulk
+    stars.  Stars fit in the small classes when es and in the large ones
+    when eb; a large star implies a small one, so m = 1 - eb + es is 1 or 2
+    and the balance is one interval test on bx.  Its ends are monotone in
+    sx: sx <= q, c + es*sx >= 0 and r - sy <= (c + es*sx) // m bound sx
+    above, the Y-side star term below.  That term never exceeds
+    (c + es*sx) // m, since the numerators differ by es*(q-r) + eb*r >= 0,
+    which is q - r >= 1 when m = 2.  So the largest sx under the upper
+    bounds passes or none does; the witness takes it, then the largest bx
+    and stars in the small classes first.
     """
     _require_instance(n, q)
     a, r = divmod(2 * n, q)
@@ -330,23 +331,20 @@ def _count_scan(n: int, q: int, k: int | float,
     eb = int(_star_ok(a + 1, k, d))
     es = int(_star_ok(a, k, d))
     m = 1 - eb + es
-    # No larger sx passes: it would need r - sy > (c + es*sx) // m.
-    for sx in range(min(q, (n + m * (q - r)) // (a + m - es)), -1, -1):
-        sy = q - sx
-        c = n - a * sx
-        b_lo = max(0, r - sy, -((es * (sy - r) + eb * r - c) // m))
-        b_hi = min(sx, r, (c + es * sx) // m)
-        if b_lo > b_hi:
-            continue
-        bx = b_hi
-        by = r - bx
-        ex = max(0, bx - c)
-        ey = max(0, c - bx)
-        x1p = max(0, ex - es * (sx - bx))
-        y1p = max(0, ey - es * (sy - by))
-        return (bx - x1p, sx - bx - ex + x1p, x1p, ex - x1p,
-                by - y1p, sy - by - ey + y1p, y1p, ey - y1p)
-    return None
+    sx = min(q, (n + m * (q - r)) // (a + m - es),
+             n // (a - es) if a > es else q)
+    sy = q - sx
+    c = n - a * sx
+    bx = min(sx, r, (c + es * sx) // m)
+    if bx < max(0, r - sy, -((es * (sy - r) + eb * r - c) // m)):
+        return None
+    by = r - bx
+    ex = max(0, bx - c)
+    ey = max(0, c - bx)
+    x1p = max(0, ex - es * (sx - bx))
+    y1p = max(0, ey - es * (sy - by))
+    return (bx - x1p, sx - bx - ex + x1p, x1p, ex - x1p,
+            by - y1p, sy - by - ey + y1p, y1p, ey - y1p)
 
 
 def feasible_counts(n: int, q: int, k: int | float = UNBOUNDED,
@@ -360,7 +358,7 @@ def feasible_counts(n: int, q: int, k: int | float = UNBOUNDED,
     """
     _check_bound(k, "k")
     _check_bound(d, "d")
-    counts = _count_scan(n, q, k, d)
+    counts = _witness_counts(n, q, k, d)
     if counts is None:
         return None
     return make_class_counts(n, q, **dict(zip(_SHAPE_NAMES, counts)))
@@ -368,7 +366,7 @@ def feasible_counts(n: int, q: int, k: int | float = UNBOUNDED,
 
 def feasible_11(n: int, q: int) -> bool:
     """Exact decision: does K_{n,n} admit an equitable (q,1,1)-tree-coloring?"""
-    return _count_scan(n, q, 1, 1) is not None
+    return _witness_counts(n, q, 1, 1) is not None
 
 
 def feasible_inf2(n: int, q: int) -> ClassCountVector | None:
@@ -384,7 +382,7 @@ def _threshold(n: int, k: int | float, d: int | float) -> int:
     """
     _require_instance(n, 1)
     t = n
-    while t > 1 and _count_scan(n, t - 1, k, d) is not None:
+    while t > 1 and _witness_counts(n, t - 1, k, d) is not None:
         t -= 1
     return t
 
@@ -418,7 +416,7 @@ def construct_knn(n: int, q: int, k: int | float,
         return even_t_coloring(n, q)
     if q > va11_upper(n) and k >= 1 and d >= 1:
         return odd_q_11_coloring(n, q)
-    counts = _count_scan(n, q, k, d)
+    counts = _witness_counts(n, q, k, d)
     if counts is None:
         raise PreconditionError(
             f"K_{{{n},{n}}} has no equitable ({q},{k},{d})-tree-coloring"

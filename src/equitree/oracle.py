@@ -156,10 +156,11 @@ def cross_check_bipartite(n_max: int, q_max: int,
     Runs every n <= n_max and q <= q_max for both the (q,1,1) and the
     (q,inf,2) variant.  A budget-exceeded search counts as a
     disagreement, so a clean report really means full agreement.
-    A bound below 1 raises PreconditionError: an empty grid checks nothing.
+    A bound below 1 (an empty grid) or not an int raises PreconditionError.
     """
-    if n_max < 1 or q_max < 1:
-        raise PreconditionError("cross-check needs n_max >= 1 and q_max >= 1")
+    if any(isinstance(b, bool) or not isinstance(b, int) or b < 1
+           for b in (n_max, q_max)):
+        raise PreconditionError("cross-check needs int n_max >= 1 and q_max >= 1")
     checked = 0
     found: list[Disagreement] = []
     for n in range(1, n_max + 1):

@@ -3,6 +3,7 @@
 import random
 from functools import lru_cache
 from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -17,6 +18,7 @@ from equitree import (
     construct_knn,
     construct_knn_11,
     construct_knn_inf2,
+    cross_check_bipartite,
     cycle,
     detect_balanced_biclique,
     even_t_coloring,
@@ -39,7 +41,7 @@ from equitree import (
     vainf2_upper,
     verify,
 )
-from equitree.bipartite import _threshold
+from equitree.bipartite import _star_ok, _threshold, _witness_counts
 
 
 def _check_11(n, q, coloring):
@@ -328,6 +330,13 @@ class TestExactThresholds:
             assert _threshold(400, k, d) == 134, (k, d)
         for k, d in ((UNBOUNDED, 2), (UNBOUNDED, 3), (UNBOUNDED, UNBOUNDED)):
             assert _threshold(400, k, d) == 26, (k, d)
+        # At n = 20,000 the same split: 2n/3 with a finite degree cap, near
+        # sqrt(2n) without one.
+        assert _threshold(20000, 1, 1) == 13334
+        for k, d in ((2, UNBOUNDED), (3, UNBOUNDED)):
+            assert _threshold(20000, k, d) == 6668, (k, d)
+        for k, d in ((UNBOUNDED, 2), (UNBOUNDED, 3), (UNBOUNDED, UNBOUNDED)):
+            assert _threshold(20000, k, d) == 188, (k, d)
 
     def test_definition_against_feasibility_scan(self):
         for n in range(1, 26):
@@ -429,6 +438,21 @@ class TestInstanceValidation:
         with pytest.raises(PreconditionError):
             even_t_coloring(0, 2)
 
+    @pytest.mark.parametrize("call, args", [
+        (feasible_11, (2.5, 3)),
+        (feasible_11, (3, True)),
+        (exact_vainf2, (True,)),
+        (va11_upper, (4.5,)),
+        (vainf2_upper, (True,)),
+        (exact_va11, (7.5,)),
+        (feasible_counts, (4, 3.0)),
+        (even_t_coloring, (4, 2.0)),
+        (cross_check_bipartite, (1.5, 2)),
+    ])
+    def test_non_int_sizes_rejected(self, call, args):
+        with pytest.raises(PreconditionError, match="int"):
+            call(*args)
+
 
 # ---- an independent reference: sumsets of allowed class shapes ----------
 
@@ -528,3 +552,55 @@ class TestAgainstShapeReference:
                 assert all(_shape_ok(x, y, k, d)
                            for count, x, y in witness._shapes() if count), (n, q)
             assert _builds(construct_knn, n, q, k, d) == expected, (n, q)
+
+
+# ---- the decider's witness against the sx walk it replaced ----------------
+
+
+def _reference_count_scan(n, q, k, d):
+    """The earlier decider, which walks sx down to the first value that
+    passes; _witness_counts computes that value directly."""
+    a, r = divmod(2 * n, q)
+    if a == 0:
+        return (n, q - 2 * n, 0, 0, n, 0, 0, 0)
+    eb = int(_star_ok(a + 1, k, d))
+    es = int(_star_ok(a, k, d))
+    m = 1 - eb + es
+    # No larger sx passes: it would need r - sy > (c + es*sx) // m.
+    for sx in range(min(q, (n + m * (q - r)) // (a + m - es)), -1, -1):
+        sy = q - sx
+        c = n - a * sx
+        b_lo = max(0, r - sy, -((es * (sy - r) + eb * r - c) // m))
+        b_hi = min(sx, r, (c + es * sx) // m)
+        if b_lo > b_hi:
+            continue
+        bx = b_hi
+        by = r - bx
+        ex = max(0, bx - c)
+        ey = max(0, c - bx)
+        x1p = max(0, ex - es * (sx - bx))
+        y1p = max(0, ey - es * (sy - by))
+        return (bx - x1p, sx - bx - ex + x1p, x1p, ex - x1p,
+                by - y1p, sy - by - ey + y1p, y1p, ey - y1p)
+    return None
+
+
+class TestWitnessAgainstWalk:
+    """The witness is what `feasible --json` prints, so pin it exactly."""
+
+    def test_every_small_instance(self):
+        for k, d in product(CAP_VALUES, repeat=2):
+            for n in range(1, 61):
+                for q in range(1, 2 * n + 3):
+                    assert (_witness_counts(n, q, k, d)
+                            == _reference_count_scan(n, q, k, d)), (n, q, k, d)
+
+    def test_seeded_large_instances(self):
+        rng = random.Random(2000)
+        for _ in range(2000):
+            n = rng.randint(1, 20000)
+            # Half the draws near sqrt(2n), where the uncapped thresholds are.
+            q = rng.randint(1, rng.choice((2 * n + 2, 2 * isqrt(2 * n) + 2)))
+            k, d = rng.choice(CAP_VALUES), rng.choice(CAP_VALUES)
+            assert (_witness_counts(n, q, k, d)
+                    == _reference_count_scan(n, q, k, d)), (n, q, k, d)
