@@ -80,10 +80,15 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 # ---- generators -------------------------------------------------------------
 
 
+def _is_count(value: object, low: int) -> bool:
+    """True for an int, not a bool, of at least low."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
 def complete_bipartite(n: int) -> Graph:
     """K_{n,n} with side X on ids 0..n-1 and side Y on ids n..2n-1."""
-    if n < 1:
-        raise PreconditionError("complete_bipartite needs n >= 1")
+    if not _is_count(n, 1):
+        raise PreconditionError("complete_bipartite needs an int n >= 1")
     xs = frozenset(range(n))
     ys = frozenset(range(n, 2 * n))
     return Graph(tuple(ys if v < n else xs for v in range(2 * n)))
@@ -91,15 +96,15 @@ def complete_bipartite(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     """Path on n vertices, ids in path order."""
-    if n < 1:
-        raise PreconditionError("path needs n >= 1")
+    if not _is_count(n, 1):
+        raise PreconditionError("path needs an int n >= 1")
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     """Cycle on n vertices.  Needs n >= 3 to stay loop- and multi-edge-free."""
-    if n < 3:
-        raise PreconditionError("cycle needs n >= 3 to remain a simple graph")
+    if not _is_count(n, 3):
+        raise PreconditionError("cycle needs an int n >= 3 to remain a simple graph")
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -122,8 +127,8 @@ def hex_grid(rows: int, cols: int) -> Graph:
     Each cell is a 6-cycle drawn as a brick two grid columns wide; odd brick
     rows are shifted one grid column to the right.
     """
-    if rows < 1 or cols < 1:
-        raise PreconditionError("hex_grid needs rows >= 1 and cols >= 1")
+    if not (_is_count(rows, 1) and _is_count(cols, 1)):
+        raise PreconditionError("hex_grid needs int rows >= 1 and cols >= 1")
     coord_edges: set[tuple[tuple[int, int], tuple[int, int]]] = set()
     for br in range(rows):
         x0 = br % 2
@@ -148,8 +153,8 @@ def maximal_outerplanar_random(n: int, seed: int) -> Graph:
     Boundary cycle 0..n-1 plus n-3 chords, so 2n-3 edges for n >= 2 and
     none for n = 1, whose boundary path is empty.
     """
-    if n < 1:
-        raise PreconditionError("maximal_outerplanar_random needs n >= 1")
+    if not _is_count(n, 1):
+        raise PreconditionError("maximal_outerplanar_random needs an int n >= 1")
     rng = random.Random(seed)
     edges = [(i, i + 1) for i in range(n - 1)]
     if n >= 3:

@@ -2,8 +2,8 @@
 
 The three public algorithms (planar girth >= 5, planar girth >= 6,
 outerplanar) share one engine.  It keeps the residual graph, the part not
-yet peeled, as neighbor sets and degree buckets on the original vertex
-ids, and runs in three phases:
+yet peeled, as neighbor sets on the original vertex ids, and runs in three
+phases:
 
 1. Peel: find a small reducible configuration, reserve its vertices at
    fixed positions of a deletion sequence, fill the remaining positions
@@ -18,6 +18,12 @@ ids, and runs in three phases:
 
 Each step is one level of the paper's induction; no graph is rebuilt per
 step and nothing recurses, so the depth of the peel is not limited.
+
+Every scan takes the lowest id that passes.  The scans read lazy
+min-heaps of vertex ids (one per degree, and one of the 2-vertices for the
+link scan) instead of sorting degree buckets or taking their minimum, so a
+step costs about the degrees it touches times a logarithm and the peel is
+near-linear.
 
 A sequence v1..vt is extendable when every v_i has at most 2i-1 neighbors
 outside the sequence.  Coloring v_t first and walking down, v_i always
@@ -34,8 +40,9 @@ ConfigurationNotFoundError surfaces instead of a wrong coloring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, permutations
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from heapq import heappop, heappush, merge
+from itertools import permutations
+from typing import Callable, Container, Iterator, Mapping, Sequence, Union
 
 from .coloring import Params, TreeColoring, _class_checks, verify
 from .errors import (
@@ -44,7 +51,7 @@ from .errors import (
     NotEnoughVerticesError,
     PreconditionError,
 )
-from .graph import UNBOUNDED, Graph, remove_vertices
+from .graph import UNBOUNDED, Graph, _is_count, remove_vertices
 
 # Configuration kinds, named for what they look like.  The first two are
 # the shared scan of all three peels; the outerplanar peel needs no other.
@@ -101,43 +108,116 @@ class ExtensionSequence:
 class _Residual:
     """The vertices of a graph not yet peeled, on the graph's own ids.
 
-    ``adj[v]`` and ``deg[v]`` of a live vertex count live neighbors only,
-    and ``by_degree[d]`` holds the live vertices of degree d.  There is a
-    bucket for every degree up to 9, the highest a finder scans, so the
-    finders read buckets in place and never copy one.  A deleted vertex
-    keeps its neighbor set, so deletions undone in reverse order restore
-    the residual exactly.
+    ``adj[v]`` and ``deg[v]`` of a live vertex count live neighbors only;
+    ``deg[v]`` of a deleted vertex is -1.  ``heaps[d]`` is a lazy min-heap
+    of vertex ids that holds every live vertex of degree d, plus stale
+    entries (dead, or of another degree) that are dropped when they reach
+    the top.  A vertex is pushed whenever its degree changes or it comes
+    back, so no bucket is ever sorted or scanned for its minimum.
+    ``links`` does the same for the 2-vertices with a neighbor of degree
+    <= ``light``, the link scan's threshold, but parks a 2-vertex that
+    fails the test: it is pushed back only when its degree comes back to 2
+    or a neighbor's degree drops to ``light``.  A deleted vertex keeps its
+    neighbor set, so deletions undone in reverse order restore the
+    residual exactly.
     """
 
     def __init__(self, g: Graph) -> None:
         self.adj = [set(nbrs) for nbrs in g.adjacency]
         self.deg = g.degrees()
-        self.by_degree = [set() for _ in range(max([9, *self.deg]) + 1)]
+        # A heap for every degree up to 9, the highest a finder scans.
+        self.heaps: list[list[int]] = [[] for _ in range(max([9, *self.deg]) + 1)]
         for v, d in enumerate(self.deg):
-            self.by_degree[d].add(v)
+            self.heaps[d].append(v)  # ids ascend, so each list is a heap
+        self.light: int | None = None
+        self.links: list[int] = []
         self.size = g.n
 
     def delete(self, v: int) -> None:
-        adj, deg, by_degree = self.adj, self.deg, self.by_degree
-        by_degree[deg[v]].remove(v)
+        adj, deg, heaps, links, light = (self.adj, self.deg, self.heaps,
+                                         self.links, self.light)
+        deg[v] = -1
         for u in adj[v]:
-            adj[u].remove(v)
-            d = deg[u]
-            by_degree[d].remove(u)
-            by_degree[d - 1].add(u)
-            deg[u] = d - 1
+            nbrs = adj[u]
+            nbrs.remove(v)
+            d = deg[u] - 1
+            deg[u] = d
+            heappush(heaps[d], u)
+            if d == 2:
+                heappush(links, u)
+            elif d == light:
+                for w in nbrs:
+                    if deg[w] == 2:
+                        heappush(links, w)
         self.size -= 1
 
     def restore(self, v: int) -> None:
-        adj, deg, by_degree = self.adj, self.deg, self.by_degree
+        adj, deg, heaps, links = self.adj, self.deg, self.heaps, self.links
         for u in adj[v]:
             adj[u].add(v)
-            d = deg[u]
-            by_degree[d].remove(u)
-            by_degree[d + 1].add(u)
-            deg[u] = d + 1
-        by_degree[deg[v]].add(v)
+            d = deg[u] + 1
+            deg[u] = d
+            heappush(heaps[d], u)
+            if d == 2:
+                heappush(links, u)
+        d = deg[v] = len(adj[v])
+        heappush(heaps[d], v)
+        if d == 2:
+            heappush(links, v)
         self.size += 1
+
+    def lowest(self, low: int, high: int, skip: Container[int] = ()) -> int | None:
+        """The lowest-id live vertex of degree low..high not in skip, if any.
+
+        Stale entries on top of each heap are dropped; entries in skip are
+        lifted off and put back.
+        """
+        deg = self.deg
+        best = None
+        for d in range(low, high + 1):
+            heap = self.heaps[d]
+            lifted = []
+            while heap:
+                v = heap[0]
+                if deg[v] == d:
+                    if v not in skip:
+                        if best is None or v < best:
+                            best = v
+                        break
+                    lifted.append(v)
+                heappop(heap)
+            for w in lifted:
+                heappush(heap, w)
+        return best
+
+    def ascending(self, d: int, skip: Container[int],
+                  restart: bool = False) -> Iterator[int]:
+        """The live vertices of degree d not in skip, lowest id first.
+
+        The lowest comes from the top of heaps[d].  After it, the walk
+        reads the heap without popping it: a small frontier heap holds the
+        positions whose parents were visited.  A caller that changes the
+        residual between two ids, as the fill does, asks for a restart:
+        each id is then found by a walk from the root that skips every id
+        up to the last one given.
+        """
+        last = self.lowest(d, d, skip)
+        if last is None:
+            return
+        yield last
+        heap, deg = self.heaps[d], self.deg
+        frontier = [(heap[0], 0)] if heap else []
+        while frontier:
+            v, i = heappop(frontier)
+            if v > last and deg[v] == d and v not in skip:
+                last = v
+                yield v
+                if restart:
+                    frontier = [(heap[0], 0)] if heap else []
+                    continue
+            for j in (2 * i + 1, 2 * i + 2):
+                if j < len(heap):
+                    heappush(frontier, (heap[j], j))
 
 
 # ---- configuration finders --------------------------------------------------
@@ -145,14 +225,20 @@ class _Residual:
 
 def _find_link(res: _Residual, light: int) -> Configuration | None:
     """A vertex of degree <= 1, else a 2-vertex with a neighbor of degree <= light."""
-    deg, adj, by_degree = res.deg, res.adj, res.by_degree
-    low = [min(bucket) for bucket in by_degree[:2] if bucket]
-    if low:
-        return Configuration(LOW_VERTEX, {"x": min(low)})
-    for v in sorted(by_degree[2]):
-        near = [u for u in sorted(adj[v]) if deg[u] <= light]
-        if near:
-            return Configuration(DEGREE_TWO_LINK, {"x": v, "y": near[0]})
+    low = res.lowest(0, 1)
+    if low is not None:
+        return Configuration(LOW_VERTEX, {"x": low})
+    deg, adj, links = res.deg, res.adj, res.links
+    if res.light != light:
+        res.light = light
+        res.links = links = [v for v, d in enumerate(deg) if d == 2]
+    while links:
+        v = links[0]
+        if deg[v] == 2:
+            near = [u for u in adj[v] if deg[u] <= light]
+            if near:
+                return Configuration(DEGREE_TWO_LINK, {"x": v, "y": min(near)})
+        heappop(links)  # stale, or parked until a neighbor gets light
     return None
 
 
@@ -161,7 +247,7 @@ def _find_girth5(res: _Residual) -> Configuration:
     cfg = _find_link(res, 6)
     if cfg is not None:
         return cfg
-    for v in sorted(res.by_degree[3]):
+    for v in res.ascending(3, ()):
         nbrs = sorted(adj[v])
         fours = [u for u in nbrs if deg[u] <= 4]
         sixes = [u for u in nbrs if deg[u] <= 6]
@@ -169,7 +255,7 @@ def _find_girth5(res: _Residual) -> Configuration:
             y = fours[0]
             z = min(u for u in sixes if u != y)
             return Configuration(DEGREE_THREE_LINK, {"x": v, "y": y, "z": z})
-    for v in sorted(chain.from_iterable(res.by_degree[7:10])):
+    for v in merge(*(res.ascending(d, ()) for d in (7, 8, 9))):
         twos = [u for u in sorted(adj[v]) if deg[u] == 2]
         if len(twos) >= deg[v] - 1:
             return Configuration(
@@ -186,7 +272,7 @@ def _find_girth6(res: _Residual) -> Configuration:
     cfg = _find_link(res, 4)
     if cfg is not None:
         return cfg
-    for v in sorted(res.by_degree[5]):
+    for v in res.ascending(5, ()):
         twos = [u for u in sorted(adj[v]) if deg[u] == 2]
         if len(twos) == 5:
             return Configuration(
@@ -244,13 +330,11 @@ def find_reducible_outerplanar(g: Graph) -> Configuration:
 
 def _low_partner(res: _Residual, x: int) -> int:
     """Lowest-id vertex besides x with at most 3 neighbors off {x, itself}."""
-    by_degree = res.by_degree
-    # Take x out of its bucket for the scan rather than copy the bucket.
-    home = by_degree[res.deg[x]]
-    home.remove(x)
-    lows = [min(pool) for pool in (*by_degree[:4], by_degree[4] & res.adj[x])
-            if pool]
-    home.add(x)
+    deg = res.deg
+    lows = [u for u in res.adj[x] if deg[u] == 4]
+    low = res.lowest(0, 3, (x,))
+    if low is not None:
+        lows.append(low)
     if not lows:
         raise ConfigurationNotFoundError(
             f"no vertex of residual degree <= 3 remains after removing {x}"
@@ -268,19 +352,23 @@ def _options(res: _Residual, pinned: Mapping[int, int],
     A pinned position has its pin.  Otherwise: live vertices other than
     the pins below whose neighbors, not counting those pins, number at
     most 2i-1, by degree and then id.  Every vertex of degree at most 2i-1
-    qualifies; above that, only a neighbor of the pins below can.  A
-    degree bucket is sorted only when the search reaches it.
+    qualifies, and comes from a walk of its degree's heap; above that,
+    only a neighbor of the pins below can, and the neighbors are read only
+    when the walks run out.
     """
     if position in pinned:
         yield pinned[position]
         return
     cap = 2 * position - 1
     below = {w for pos, w in pinned.items() if pos < position}
-    adj, deg, by_degree = res.adj, res.deg, res.by_degree
+    heaps = res.heaps
+    for d in range(min(cap, len(heaps) - 1) + 1):
+        if heaps[d]:
+            yield from res.ascending(d, below, restart=True)
+    adj, deg = res.adj, res.deg
     near = set().union(*(adj[w] for w in below)) - below
-    fits = {u for u in near if deg[u] - len(adj[u] & below) <= cap}
-    for d in range(min(cap + len(below), len(by_degree) - 1) + 1):
-        yield from sorted(by_degree[d] - below if d <= cap else by_degree[d] & fits)
+    yield from sorted((u for u in near if cap < deg[u] <= cap + len(adj[u] & below)),
+                      key=lambda u: (deg[u], u))
 
 
 def _fill(res: _Residual, pinned: Mapping[int, int], t: int) -> tuple[int, ...]:
@@ -331,8 +419,8 @@ def fill_sequence(g: Graph, pinned: Mapping[int, int], t: int) -> ExtensionSeque
     2i-1 (at most 1 for position 1), preferring low degree and then low
     id.  Backtracks over the candidates under a fixed node budget.
     """
-    if t < 1:
-        raise PreconditionError("sequence length must be >= 1")
+    if not _is_count(t, 1):
+        raise PreconditionError("sequence length must be an int >= 1")
     if g.n < t:
         raise NotEnoughVerticesError(
             f"graph has {g.n} vertices, sequence needs {t}"
@@ -464,7 +552,7 @@ def _peel(g: Graph, t: int, level: Callable[[_Residual, int], _Step]) -> TreeCol
     while res.size > t:
         steps.append(level(res, t))
     colors = [0] * g.n
-    for c, v in enumerate(sorted(chain.from_iterable(res.by_degree)), start=1):
+    for c, v in enumerate((v for v, d in enumerate(res.deg) if d >= 0), start=1):
         colors[v] = c
     for step in reversed(steps):
         if isinstance(step, _Reinsertion):
@@ -518,8 +606,8 @@ def _outerplanar_level(res: _Residual, t: int) -> _Step:
 
 def color_girth5(g: Graph, t: int) -> TreeColoring:
     """Equitable t-tree-coloring of a planar graph with girth >= 5, t >= 3."""
-    if t < 3:
-        raise PreconditionError("color_girth5 needs t >= 3")
+    if not _is_count(t, 3):
+        raise PreconditionError("color_girth5 needs an int t >= 3")
     if g.n >= 3 and 3 * g.m > 5 * (g.n - 2):
         raise PreconditionError(
             f"edge count {g.m} violates the girth-5 planar bound "
@@ -534,8 +622,8 @@ def color_girth6(g: Graph, t: int) -> TreeColoring:
     For t >= 3 the girth-5 machinery already covers this sparser class;
     the dedicated two-class peel handles t = 2.
     """
-    if t < 2:
-        raise PreconditionError("color_girth6 needs t >= 2")
+    if not _is_count(t, 2):
+        raise PreconditionError("color_girth6 needs an int t >= 2")
     if g.n >= 3 and 2 * g.m > 3 * (g.n - 2):
         raise PreconditionError(
             f"edge count {g.m} violates the girth-6 planar bound "
@@ -553,6 +641,6 @@ def color_outerplanar(g: Graph, t: int) -> TreeColoring:
     outerplanar graph always has at least three vertices of degree at
     most 3, so the greedy fill has candidates even with two reserved.
     """
-    if t < 2:
-        raise PreconditionError("color_outerplanar needs t >= 2")
+    if not _is_count(t, 2):
+        raise PreconditionError("color_outerplanar needs an int t >= 2")
     return _peel(g, t, _outerplanar_level)

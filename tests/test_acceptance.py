@@ -1,4 +1,4 @@
-"""Acceptance gate: the ten headline properties with their runtime caps.
+"""Acceptance gate: the eleven headline properties with their runtime caps.
 
 Each test pins exact expected values where the result is a number, and
 otherwise checks the full property (construct then verify, or oracle
@@ -32,6 +32,7 @@ from equitree import (
     graph_from_edges,
     hex_grid,
     maximal_outerplanar_random,
+    path,
     realize_class_counts,
     solve_linear,
     va11_upper,
@@ -150,6 +151,20 @@ def test_criterion_09_sparse_algorithms():
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     print(f"criterion 9: PASS ({elapsed:.1f}s)")
+
+
+def test_criterion_11_sparse_peel_at_scale():
+    # The peel reads lazy heaps, never a whole degree bucket, so these
+    # take seconds where bucket scans took minutes.
+    start = time.monotonic()
+    for g, t in ((path(100_000), 2),
+                 (maximal_outerplanar_random(100_000, 0), 2),
+                 (maximal_outerplanar_random(20_000, 0), 7)):
+        rep = verify(g, color_outerplanar(g, t), Params(t))
+        assert rep.verdict, (g.n, t, rep.first_violation)
+    elapsed = time.monotonic() - start
+    assert elapsed < 30.0
+    print(f"criterion 11: PASS ({elapsed:.1f}s)")
 
 
 def _random_forest_edges(rng, n):

@@ -179,6 +179,20 @@ class TestGenerators:
         assert maximal_outerplanar_random(2, 0).m == 1
         assert path(1).m == 0
 
+    @pytest.mark.parametrize("call", [
+        lambda: complete_bipartite(2.5),
+        lambda: complete_bipartite(True),
+        lambda: path(3.0),
+        lambda: cycle(4.0),
+        lambda: hex_grid(2.0, 2),
+        lambda: hex_grid(2, True),
+        lambda: maximal_outerplanar_random(5.0, 1),
+    ], ids=["knn_float", "knn_bool", "path_float", "cycle_float",
+            "hex_rows_float", "hex_cols_bool", "outerplanar_float"])
+    def test_non_int_sizes_rejected(self, call):
+        with pytest.raises(PreconditionError, match="int"):
+            call()
+
 
 class TestQueries:
     def test_components_and_forest(self):

@@ -2,7 +2,7 @@
 
 import random
 import sys
-from itertools import permutations
+from itertools import chain, permutations
 
 import pytest
 
@@ -37,7 +37,14 @@ from equitree import (
     remove_vertices,
     verify,
 )
-from equitree.sparse import _girth5_level, _girth6_level, _peel
+from equitree import sparse
+from equitree.sparse import (
+    Configuration,
+    _girth5_level,
+    _girth6_level,
+    _outerplanar_level,
+    _peel,
+)
 
 
 def _biclique(a, b):
@@ -457,6 +464,20 @@ class TestColorOuterplanar:
         assert sorted(result.class_sizes()) == [0, 0, 0, 1, 1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: color_outerplanar(cycle(5), 2.5),
+    lambda: color_outerplanar(cycle(5), 3.0),
+    lambda: color_outerplanar(cycle(5), True),
+    lambda: color_girth5(dodecahedron(), 3.0),
+    lambda: color_girth6(cycle(6), 2.0),
+    lambda: fill_sequence(path(5), {}, 2.5),
+], ids=["outerplanar_half", "outerplanar_float", "outerplanar_bool",
+        "girth5_float", "girth6_float", "fill_half"])
+def test_non_int_t_rejected(call):
+    with pytest.raises(PreconditionError, match="int"):
+        call()
+
+
 # ---- the recursion the peel engine replaced, rebuilt from public pieces ----
 
 
@@ -584,6 +605,15 @@ class TestPeelDepth:
         g = maximal_outerplanar_random(2000, 1)
         assert verify(g, color_outerplanar(g, 1200), Params(1200)).verdict
 
+    @pytest.mark.parametrize("family, n, t", [
+        ("path", 100_000, 2),
+        ("maximal_outerplanar", 100_000, 2),
+        ("maximal_outerplanar", 20_000, 7),
+    ])
+    def test_large_inputs(self, family, n, t):
+        g = path(n) if family == "path" else maximal_outerplanar_random(n, 0)
+        assert verify(g, color_outerplanar(g, t), Params(t)).verdict
+
     def test_runs_under_a_low_recursion_limit(self):
         g = maximal_outerplanar_random(600, 2)
         limit = sys.getrecursionlimit()
@@ -593,3 +623,252 @@ class TestPeelDepth:
         finally:
             sys.setrecursionlimit(limit)
         assert verify(g, result, Params(3)).verdict
+
+
+# ---- the bucket scans the heaps replaced, kept verbatim as the reference ----
+
+
+class _ReferenceResidual:
+    """The residual as degree buckets, before the lazy heaps."""
+
+    def __init__(self, g):
+        self.adj = [set(nbrs) for nbrs in g.adjacency]
+        self.deg = g.degrees()
+        self.by_degree = [set() for _ in range(max([9, *self.deg]) + 1)]
+        for v, d in enumerate(self.deg):
+            self.by_degree[d].add(v)
+        self.size = g.n
+        self.restores = 0
+
+    def delete(self, v):
+        adj, deg, by_degree = self.adj, self.deg, self.by_degree
+        by_degree[deg[v]].remove(v)
+        for u in adj[v]:
+            adj[u].remove(v)
+            d = deg[u]
+            by_degree[d].remove(u)
+            by_degree[d - 1].add(u)
+            deg[u] = d - 1
+        self.size -= 1
+
+    def restore(self, v):
+        self.restores += 1
+        adj, deg, by_degree = self.adj, self.deg, self.by_degree
+        for u in adj[v]:
+            adj[u].add(v)
+            d = deg[u]
+            by_degree[d].remove(u)
+            by_degree[d + 1].add(u)
+            deg[u] = d + 1
+        by_degree[deg[v]].add(v)
+        self.size += 1
+
+
+def _reference_find_link(res, light):
+    deg, adj, by_degree = res.deg, res.adj, res.by_degree
+    low = [min(bucket) for bucket in by_degree[:2] if bucket]
+    if low:
+        return Configuration(LOW_VERTEX, {"x": min(low)})
+    for v in sorted(by_degree[2]):
+        near = [u for u in sorted(adj[v]) if deg[u] <= light]
+        if near:
+            return Configuration(DEGREE_TWO_LINK, {"x": v, "y": near[0]})
+    return None
+
+
+def _reference_find_girth5(res):
+    deg, adj = res.deg, res.adj
+    cfg = _reference_find_link(res, 6)
+    if cfg is not None:
+        return cfg
+    for v in sorted(res.by_degree[3]):
+        nbrs = sorted(adj[v])
+        fours = [u for u in nbrs if deg[u] <= 4]
+        sixes = [u for u in nbrs if deg[u] <= 6]
+        if fours and len(sixes) >= 2:
+            y = fours[0]
+            z = min(u for u in sixes if u != y)
+            return Configuration(DEGREE_THREE_LINK, {"x": v, "y": y, "z": z})
+    for v in sorted(chain.from_iterable(res.by_degree[7:10])):
+        twos = [u for u in sorted(adj[v]) if deg[u] == 2]
+        if len(twos) >= deg[v] - 1:
+            return Configuration(
+                TWO_NEIGHBOR_HUB, {"x": v, "degree": deg[v], "twos": tuple(twos)}
+            )
+    raise ConfigurationNotFoundError("girth 5")
+
+
+def _reference_find_girth6(res):
+    deg, adj = res.deg, res.adj
+    cfg = _reference_find_link(res, 4)
+    if cfg is not None:
+        return cfg
+    for v in sorted(res.by_degree[5]):
+        twos = [u for u in sorted(adj[v]) if deg[u] == 2]
+        if len(twos) == 5:
+            return Configuration(
+                TWO_NEIGHBOR_HUB, {"x": v, "degree": 5, "twos": tuple(twos)}
+            )
+    raise ConfigurationNotFoundError("girth 6")
+
+
+def _reference_bucket_low_partner(res, x):
+    by_degree = res.by_degree
+    home = by_degree[res.deg[x]]
+    home.remove(x)
+    lows = [min(pool) for pool in (*by_degree[:4], by_degree[4] & res.adj[x])
+            if pool]
+    home.add(x)
+    if not lows:
+        raise ConfigurationNotFoundError(f"no partner for {x}")
+    return min(lows)
+
+
+def _reference_options(res, pinned, position):
+    if position in pinned:
+        yield pinned[position]
+        return
+    cap = 2 * position - 1
+    below = {w for pos, w in pinned.items() if pos < position}
+    adj, deg, by_degree = res.adj, res.deg, res.by_degree
+    near = set().union(*(adj[w] for w in below)) - below
+    fits = {u for u in near if deg[u] - len(adj[u] & below) <= cap}
+    for d in range(min(cap + len(below), len(by_degree) - 1) + 1):
+        yield from sorted(by_degree[d] - below if d <= cap else by_degree[d] & fits)
+
+
+_REFERENCE_SCANS = {
+    "_find_link": _reference_find_link,
+    "_find_girth5": _reference_find_girth5,
+    "_find_girth6": _reference_find_girth6,
+    "_low_partner": _reference_bucket_low_partner,
+    "_options": _reference_options,
+}
+
+_LEVELS = {
+    "outerplanar": (_outerplanar_level, "_find_outerplanar"),
+    "girth5": (_girth5_level, "_find_girth5"),
+    "girth6": (_girth6_level, "_find_girth6"),
+}
+
+
+def _assert_same_residual(res, ref):
+    live = sorted(chain.from_iterable(ref.by_degree))
+    assert res.size == ref.size == len(live)
+    assert [v for v, d in enumerate(res.deg) if d >= 0] == live
+    assert all(res.deg[v] == ref.deg[v] for v in live)
+
+
+class TestHeapsMatchBucketScans:
+    """Each peel step picks what the bucket scans picked: same
+    configuration, same partner, same fill, same residual after it."""
+
+    def _peel_side_by_side(self, monkeypatch, g, t, kind):
+        level, finder = _LEVELS[kind]
+        res, ref = sparse._Residual(g), _ReferenceResidual(g)
+        kinds = set()
+        while res.size > t:
+            cfg = getattr(sparse, finder)(res)
+            if cfg.kind == LOW_VERTEX:
+                assert (sparse._low_partner(res, cfg["x"])
+                        == _reference_bucket_low_partner(ref, cfg["x"]))
+            with monkeypatch.context() as m:
+                for name, scan in _REFERENCE_SCANS.items():
+                    m.setattr(sparse, name, scan)
+                assert getattr(sparse, finder)(ref) == cfg
+                expected = level(ref, t)
+            assert level(res, t) == expected, (kind, t, cfg)
+            _assert_same_residual(res, ref)
+            kinds.add(cfg.kind)
+        return kinds
+
+    def test_outerplanar(self, monkeypatch):
+        rng = random.Random(14)
+        graphs = [path(n) for n in (2, 3, 9, 40)]
+        for seed in range(3):
+            for n in (5, 12, 33, 60, 120):
+                mop = maximal_outerplanar_random(n, seed)
+                graphs.append(mop)
+                graphs.append(graph_from_edges(
+                    n, [e for e in mop.edges() if rng.random() < 0.8]))
+        kinds = set()
+        for g in graphs:
+            for t in (2, 3, 7):
+                kinds |= self._peel_side_by_side(monkeypatch, g, t, "outerplanar")
+        assert kinds == {LOW_VERTEX, DEGREE_TWO_LINK}
+
+    def test_hex_grids(self, monkeypatch):
+        for rows, cols in ((1, 1), (2, 3), (4, 4), (6, 5)):
+            g = hex_grid(rows, cols)
+            self._peel_side_by_side(monkeypatch, g, 2, "girth6")
+            for t in (3, 7):
+                self._peel_side_by_side(monkeypatch, g, t, "girth5")
+
+    def test_hubs_and_dodecahedron(self, monkeypatch):
+        kinds = set()
+        for b, t in ((8, 3), (9, 3), (7, 3), (7, 4), (8, 4), (9, 5)):
+            kinds |= self._peel_side_by_side(monkeypatch, _biclique(2, b), t, "girth5")
+        kinds |= self._peel_side_by_side(monkeypatch, _biclique(2, 5), 2, "girth6")
+        for t in (3, 7):
+            kinds |= self._peel_side_by_side(monkeypatch, dodecahedron(), t, "girth5")
+        assert kinds == {LOW_VERTEX, DEGREE_TWO_LINK, DEGREE_THREE_LINK,
+                         TWO_NEIGHBOR_HUB}
+
+    def test_walk_survives_changes_between_ids(self):
+        # The fill deletes each candidate and later restores it before
+        # asking for the next one; heap entries move meanwhile.
+        rng = random.Random(3)
+        for seed in range(20):
+            g = maximal_outerplanar_random(80, seed)
+            res = sparse._Residual(g)
+            for d in (2, 3, 4):
+                want = [v for v in range(g.n) if res.deg[v] == d]
+                got = []
+                for v in res.ascending(d, (), restart=True):
+                    got.append(v)
+                    gone = [v] + rng.sample([u for u in range(g.n)
+                                             if res.deg[u] >= 0 and u != v], 12)
+                    for u in gone:
+                        res.delete(u)
+                    for k in range(len(res.heaps)):
+                        res.lowest(k, k)
+                    for u in reversed(gone):
+                        res.restore(u)
+                assert got == want, (seed, d)
+                assert list(res.ascending(d, ())) == want, (seed, d)
+
+    def test_fills_that_backtrack(self, monkeypatch):
+        # Peel steps never backtrack on these families, so fill random
+        # graphs with random pins, several times on one residual, and
+        # count the fills that had to undo a choice.
+        rng = random.Random(5)
+        backtracked = 0
+        for case in range(150):
+            n = rng.randint(6, 30)
+            g = graph_from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                                     if rng.random() < rng.choice((0.2, 0.3, 0.4))])
+            res, ref = sparse._Residual(g), _ReferenceResidual(g)
+            for _ in range(3):
+                t = rng.randint(2, 6)
+                if res.size < t:
+                    break
+                live = [v for v, d in enumerate(res.deg) if d >= 0]
+                pinned = {1: rng.choice(live)}
+                for position in range(2, t + 1):
+                    assert (list(sparse._options(res, pinned, position))
+                            == list(_reference_options(ref, pinned, position)))
+                outcome = []
+                for side, scans in ((res, {}), (ref, _REFERENCE_SCANS)):
+                    with monkeypatch.context() as m:
+                        for name, scan in scans.items():
+                            m.setattr(sparse, name, scan)
+                        restores = ref.restores
+                        try:
+                            outcome.append(sparse._fill(side, pinned, t))
+                        except NoLowDegreeVertexError as exc:
+                            outcome.append(str(exc))
+                assert outcome[0] == outcome[1], (case, pinned, t)
+                _assert_same_residual(res, ref)
+                if isinstance(outcome[0], tuple) and ref.restores > restores:
+                    backtracked += 1
+        assert backtracked >= 10
