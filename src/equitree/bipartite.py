@@ -25,12 +25,12 @@ from math import isqrt
 
 from .coloring import TreeColoring, _check_bound
 from .errors import InfeasibleVectorError, PreconditionError
-from .graph import UNBOUNDED
+from .graph import UNBOUNDED, _is_count
 
 
 def _require_instance(n: int, q: int) -> None:
     for name, value in (("side size n", n), ("class count q", q)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        if not _is_count(value, 1):
             raise PreconditionError(f"{name} must be an int >= 1")
 
 
@@ -98,8 +98,7 @@ def make_class_counts(n: int, q: int, *, x1: int = 0, x2: int = 0,
     must be absent.
     """
     _require_instance(n, q)
-    a = (2 * n) // q
-    r = 2 * n - a * q
+    a, r = divmod(2 * n, q)
     vec = ClassCountVector(a, r, x1, x2, x1p, x2p, y1, y2, y1p, y2p)
     for name, value in zip(_SHAPE_NAMES, vec.counts()):
         if value < 0:
@@ -188,9 +187,9 @@ class SolutionPair:
 
 def solve_linear(a: int, n: int) -> list[SolutionPair]:
     """All nonnegative integer solutions of a*x + (a+1)*y = n, ascending in x."""
-    if a < 1:
+    if not _is_count(a, 1):
         raise PreconditionError("solve_linear needs a >= 1")
-    if n < 0:
+    if not _is_count(n, 0):
         raise PreconditionError("solve_linear needs n >= 0")
     out = []
     for y in range(n // (a + 1), -1, -1):
@@ -250,8 +249,7 @@ def odd_q_inf2_counts(n: int, q: int) -> ClassCountVector:
         raise PreconditionError(
             f"odd_q_inf2_counts needs {low} <= q < {n}"
         )
-    a = (2 * n) // q
-    r = 2 * n - a * q
+    a, r = divmod(2 * n, q)
     if q <= 2 * r + 1:
         return make_class_counts(
             n, q,

@@ -60,6 +60,11 @@ EXIT_PRECONDITION = 65
 EXIT_NO_CONFIGURATION = 66
 EXIT_INTERNAL = 70
 
+# The typed errors that answer about the input, and their exit codes.
+_ERROR_EXITS = ((InputFormatError, EXIT_INPUT),
+                (ConfigurationNotFoundError, EXIT_NO_CONFIGURATION),
+                (PreconditionError, EXIT_PRECONDITION))
+
 
 def _parse_bound(text: str):
     if text == "inf":
@@ -315,16 +320,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ConfigurationNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONFIGURATION
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except Exception as exc:
+        for kind, code in _ERROR_EXITS:
+            if isinstance(exc, kind):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
         # Anything else is a defect, never an answer: keep it off exit 1.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

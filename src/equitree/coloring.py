@@ -2,22 +2,18 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import AbstractSet, Any, Mapping, Sequence, Union
 
 from .errors import InputFormatError, PreconditionError
-from .graph import UNBOUNDED, Graph
+from .graph import UNBOUNDED, Graph, _is_count
 
 
 def _check_bound(value: Any, name: str) -> int | float:
-    if value is UNBOUNDED:
+    """A cap: a nonnegative int, or any value equal to UNBOUNDED."""
+    if value == UNBOUNDED or _is_count(value, 0):
         return value
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise PreconditionError(f"{name} must be a nonnegative int or UNBOUNDED")
-    if value < 0:
-        raise PreconditionError(f"{name} must be a nonnegative int or UNBOUNDED")
-    return value
+    raise PreconditionError(f"{name} must be a nonnegative int or UNBOUNDED")
 
 
 @dataclass(frozen=True)
@@ -34,7 +30,7 @@ class Params:
     d: int | float = UNBOUNDED
 
     def __post_init__(self) -> None:
-        if isinstance(self.t, bool) or not isinstance(self.t, int) or self.t < 1:
+        if not _is_count(self.t, 1):
             raise PreconditionError("t must be an int >= 1")
         _check_bound(self.k, "k")
         _check_bound(self.d, "d")
@@ -48,7 +44,7 @@ class TreeColoring:
     t: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.t, bool) or not isinstance(self.t, int) or self.t < 1:
+        if not _is_count(self.t, 1):
             raise InputFormatError("t must be an int >= 1")
         colors = self.colors
         # The common case at C speed; the loop below only finds the culprit.
@@ -56,7 +52,7 @@ class TreeColoring:
                           and 1 <= min(colors) and max(colors) <= self.t):
             return
         for v, c in enumerate(colors):
-            if isinstance(c, bool) or not isinstance(c, int) or not 1 <= c <= self.t:
+            if not (_is_count(c, 1) and c <= self.t):
                 raise InputFormatError(
                     f"vertex {v} has color {c!r}, outside 1..{self.t}"
                 )
@@ -205,8 +201,7 @@ def verify(g: Graph, coloring: TreeColoring, params: Params) -> VerificationRepo
     for v, c in enumerate(coloring.colors):
         classes[c - 1].append(v)
 
-    lo = g.n // t
-    hi = math.ceil(g.n / t)
+    lo, hi = g.n // t, -(-g.n // t)
     sizes = [len(members) for members in classes]
     first = ""
     equitable = lo <= min(sizes) and max(sizes) <= hi
@@ -224,23 +219,16 @@ def verify(g: Graph, coloring: TreeColoring, params: Params) -> VerificationRepo
         check = _class_checks(g, members)
         checks.append(check)
         if not check.is_forest:
-            verdict = False
-            if not first:
-                first = f"class {c} contains a cycle"
+            problem = "contains a cycle"
         elif check.max_degree > params.k:
-            verdict = False
-            if not first:
-                first = (
-                    f"class {c} has induced degree {check.max_degree}, "
-                    f"above the cap {params.k}"
-                )
+            problem = f"has induced degree {check.max_degree}, above the cap {params.k}"
         elif check.diameter > params.d:
-            verdict = False
-            if not first:
-                first = (
-                    f"class {c} has a component of diameter {check.diameter}, "
-                    f"above the cap {params.d}"
-                )
+            problem = (f"has a component of diameter {check.diameter}, "
+                       f"above the cap {params.d}")
+        else:
+            continue
+        verdict = False
+        first = first or f"class {c} {problem}"
     return VerificationReport(verdict, equitable, tuple(checks), first)
 
 
@@ -252,8 +240,8 @@ def certificate_from_coloring(coloring: TreeColoring, params: Params) -> dict[st
     return {
         "n_vertices": coloring.n,
         "t": params.t,
-        "k": None if params.k is UNBOUNDED else params.k,
-        "d": None if params.d is UNBOUNDED else params.d,
+        "k": None if params.k == UNBOUNDED else params.k,
+        "d": None if params.d == UNBOUNDED else params.d,
         "colors": list(coloring.colors),
     }
 
@@ -267,16 +255,16 @@ def coloring_from_certificate(data: Mapping[str, Any]) -> tuple[Params, TreeColo
             raise InputFormatError(f"certificate is missing the '{key}' field")
     n = data["n_vertices"]
     t = data["t"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+    if not _is_count(n, 0):
         raise InputFormatError("'n_vertices' must be a nonnegative int")
-    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
+    if not _is_count(t, 1):
         raise InputFormatError("'t' must be an int >= 1")
 
     def bound(key: str) -> int | float:
         raw = data[key]
         if raw is None:
             return UNBOUNDED
-        if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
+        if not _is_count(raw, 0):
             raise InputFormatError(f"'{key}' must be a nonnegative int or null")
         return raw
 

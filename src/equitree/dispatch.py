@@ -32,13 +32,9 @@ def _build(g: Graph, params: Params, method: str) -> TreeColoring:
             "finite degree or diameter caps are only supported for "
             "balanced complete bipartite inputs"
         )
-    if t == 2:
-        try:
-            return color_girth6(g, 2)
-        except (PreconditionError, ConfigurationNotFoundError):
-            return color_outerplanar(g, 2)
     try:
-        return color_girth5(g, t)
+        # Looked up at call time, so a patched module attribute is seen.
+        return (color_girth6 if t == 2 else color_girth5)(g, t)
     except (PreconditionError, ConfigurationNotFoundError):
         return color_outerplanar(g, t)
 

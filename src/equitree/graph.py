@@ -14,6 +14,11 @@ from .errors import InputFormatError, PreconditionError
 UNBOUNDED = math.inf
 
 
+def _is_count(value: object, low: int) -> bool:
+    """True for an int, not a bool, of at least low."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on vertex ids 0..n-1, stored as adjacency sets.
@@ -62,27 +67,26 @@ class Graph:
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on n vertices; rejects loops, duplicates, and bad ids."""
-    if n < 0:
+    if not _is_count(n, 0):
         raise PreconditionError("vertex count must be nonnegative")
     adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputFormatError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise InputFormatError(f"self-loop at vertex {u}")
-        if v in adj[u]:
-            raise InputFormatError(f"duplicate edge ({u}, {v})")
-        adj[u].add(v)
-        adj[v].add(u)
+    # A malformed edge fails to unpack, compare or index: no per-edge type test.
+    try:
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputFormatError(f"edge ({u}, {v}) out of range for n={n}")
+            if u == v:
+                raise InputFormatError(f"self-loop at vertex {u}")
+            if v in adj[u]:
+                raise InputFormatError(f"duplicate edge ({u}, {v})")
+            adj[u].add(v)
+            adj[v].add(u)
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"edges must be pairs of int vertex ids: {exc}") from exc
     return Graph(tuple(frozenset(s) for s in adj))
 
 
 # ---- generators -------------------------------------------------------------
-
-
-def _is_count(value: object, low: int) -> bool:
-    """True for an int, not a bool, of at least low."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 def complete_bipartite(n: int) -> Graph:
@@ -282,8 +286,8 @@ def remove_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int
     """Delete a vertex set; return the reduced graph and old-id -> new-id map."""
     removed = set(drop)
     for v in removed:
-        if not 0 <= v < g.n:
-            raise PreconditionError(f"vertex {v} out of range for removal")
+        if not (_is_count(v, 0) and v < g.n):
+            raise PreconditionError(f"vertex {v!r} out of range for removal")
     keep = [v for v in range(g.n) if v not in removed]
     remap = {old: new for new, old in enumerate(keep)}
     adjacency = tuple(

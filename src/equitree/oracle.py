@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .bipartite import feasible_11, feasible_inf2
 from .coloring import Params, TreeColoring, _measure
 from .errors import PreconditionError
-from .graph import UNBOUNDED, Graph, complete_bipartite
+from .graph import UNBOUNDED, Graph, _is_count, complete_bipartite
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -35,10 +35,9 @@ class SearchBudget:
 
     def __post_init__(self) -> None:
         # Written so that a NaN time cap fails too.
-        nodes, cap = self.max_nodes, self.time_cap
-        if (isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 1
-                or isinstance(cap, bool) or not isinstance(cap, (int, float))
-                or not cap > 0):
+        cap = self.time_cap
+        if (not _is_count(self.max_nodes, 1) or isinstance(cap, bool)
+                or not isinstance(cap, (int, float)) or not cap > 0):
             raise PreconditionError(
                 "search budget needs an int max_nodes >= 1 and a positive time_cap"
             )
@@ -158,8 +157,7 @@ def cross_check_bipartite(n_max: int, q_max: int,
     disagreement, so a clean report really means full agreement.
     A bound below 1 (an empty grid) or not an int raises PreconditionError.
     """
-    if any(isinstance(b, bool) or not isinstance(b, int) or b < 1
-           for b in (n_max, q_max)):
+    if not (_is_count(n_max, 1) and _is_count(q_max, 1)):
         raise PreconditionError("cross-check needs int n_max >= 1 and q_max >= 1")
     checked = 0
     found: list[Disagreement] = []

@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush, merge
 from itertools import permutations
+from math import gcd
 from typing import Callable, Container, Iterator, Mapping, Sequence, Union
 
 from .coloring import Params, TreeColoring, _class_checks, verify
@@ -88,8 +89,8 @@ class ExtensionSequence:
         if len(members) != len(self.vertices):
             raise PreconditionError("extension sequence has repeated vertices")
         for position, v in enumerate(self.vertices, start=1):
-            if not 0 <= v < self.graph.n:
-                raise PreconditionError(f"sequence vertex {v} out of range")
+            if not (_is_count(v, 0) and v < self.graph.n):
+                raise PreconditionError(f"sequence vertex {v!r} out of range")
             outside = len(self.graph.adjacency[v] - members)
             if outside > 2 * position - 1:
                 raise PreconditionError(
@@ -223,6 +224,13 @@ class _Residual:
 # ---- configuration finders --------------------------------------------------
 
 
+def _not_found(family: str) -> ConfigurationNotFoundError:
+    return ConfigurationNotFoundError(
+        "no reducible configuration found; the graph is outside the "
+        f"{family} class this algorithm covers"
+    )
+
+
 def _find_link(res: _Residual, light: int) -> Configuration | None:
     """A vertex of degree <= 1, else a 2-vertex with a neighbor of degree <= light."""
     low = res.lowest(0, 1)
@@ -261,10 +269,7 @@ def _find_girth5(res: _Residual) -> Configuration:
             return Configuration(
                 TWO_NEIGHBOR_HUB, {"x": v, "degree": deg[v], "twos": tuple(twos)}
             )
-    raise ConfigurationNotFoundError(
-        "no reducible configuration found; the graph is outside the "
-        "girth >= 5 planar class this algorithm covers"
-    )
+    raise _not_found("girth >= 5 planar")
 
 
 def _find_girth6(res: _Residual) -> Configuration:
@@ -278,19 +283,13 @@ def _find_girth6(res: _Residual) -> Configuration:
             return Configuration(
                 TWO_NEIGHBOR_HUB, {"x": v, "degree": 5, "twos": tuple(twos)}
             )
-    raise ConfigurationNotFoundError(
-        "no reducible configuration found; the graph is outside the "
-        "girth >= 6 planar class this algorithm covers"
-    )
+    raise _not_found("girth >= 6 planar")
 
 
 def _find_outerplanar(res: _Residual) -> Configuration:
     cfg = _find_link(res, 4)
     if cfg is None:
-        raise ConfigurationNotFoundError(
-            "no reducible configuration found; the graph is outside the "
-            "outerplanar class this algorithm covers"
-        )
+        raise _not_found("outerplanar")
     return cfg
 
 
@@ -426,10 +425,10 @@ def fill_sequence(g: Graph, pinned: Mapping[int, int], t: int) -> ExtensionSeque
             f"graph has {g.n} vertices, sequence needs {t}"
         )
     for pos, v in pinned.items():
-        if not 1 <= pos <= t:
-            raise PreconditionError(f"pinned position {pos} outside 1..{t}")
-        if not 0 <= v < g.n:
-            raise PreconditionError(f"pinned vertex {v} out of range")
+        if not (_is_count(pos, 1) and pos <= t):
+            raise PreconditionError(f"pinned position {pos!r} outside 1..{t}")
+        if not (_is_count(v, 0) and v < g.n):
+            raise PreconditionError(f"pinned vertex {v!r} out of range")
     if len(set(pinned.values())) != len(pinned):
         raise PreconditionError("pinned vertices must be distinct")
     return ExtensionSequence(g, _fill(_Residual(g), pinned, t))
@@ -604,15 +603,21 @@ def _outerplanar_level(res: _Residual, t: int) -> _Step:
 # ---- public algorithms ------------------------------------------------------
 
 
+def _euler_gate(g: Graph, girth: int) -> None:
+    """Euler's edge bound for planar graphs of this girth: (girth-2)|E| <= girth(|V|-2)."""
+    if g.n >= 3 and (girth - 2) * g.m > girth * (g.n - 2):
+        h = gcd(girth, girth - 2)
+        raise PreconditionError(
+            f"edge count {g.m} violates the girth-{girth} planar bound "
+            f"|E| <= {girth // h}(|V|-2)/{(girth - 2) // h}"
+        )
+
+
 def color_girth5(g: Graph, t: int) -> TreeColoring:
     """Equitable t-tree-coloring of a planar graph with girth >= 5, t >= 3."""
     if not _is_count(t, 3):
         raise PreconditionError("color_girth5 needs an int t >= 3")
-    if g.n >= 3 and 3 * g.m > 5 * (g.n - 2):
-        raise PreconditionError(
-            f"edge count {g.m} violates the girth-5 planar bound "
-            f"|E| <= 5(|V|-2)/3"
-        )
+    _euler_gate(g, 5)
     return _peel(g, t, _girth5_level)
 
 
@@ -624,11 +629,7 @@ def color_girth6(g: Graph, t: int) -> TreeColoring:
     """
     if not _is_count(t, 2):
         raise PreconditionError("color_girth6 needs an int t >= 2")
-    if g.n >= 3 and 2 * g.m > 3 * (g.n - 2):
-        raise PreconditionError(
-            f"edge count {g.m} violates the girth-6 planar bound "
-            f"|E| <= 3(|V|-2)/2"
-        )
+    _euler_gate(g, 6)
     return _peel(g, 2, _girth6_level) if t == 2 else _peel(g, t, _girth5_level)
 
 

@@ -143,9 +143,19 @@ class TestConstructVerifyRoundTrip:
             assert "invalid choice" in capsys.readouterr().err
 
     def test_method_on_wrong_family(self, k33, capsys):
-        code, _, err = run(capsys, "construct", "--graph", str(k33),
-                           "--t", "3", "--method", "outerplanar")
-        assert code == 66 or code == 65
+        # K_{3,3} is not outerplanar and has too many edges for girth 5 or 6.
+        expected = {
+            "outerplanar": (66, "no reducible configuration found; the graph "
+                                "is outside the outerplanar class this "
+                                "algorithm covers"),
+            "girth5": (65, "edge count 9 violates the girth-5 planar bound "
+                           "|E| <= 5(|V|-2)/3"),
+            "girth6": (65, "edge count 9 violates the girth-6 planar bound "
+                           "|E| <= 3(|V|-2)/2"),
+        }
+        for method, (code, message) in expected.items():
+            assert run(capsys, "construct", "--graph", str(k33), "--t", "3",
+                       "--method", method) == (code, "", f"error: {message}\n")
 
     def test_stdin_graph(self, k33, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(k33.read_text()))

@@ -1,5 +1,6 @@
 """Coloring model: parameters, verification semantics, certificates."""
 
+import json
 import random
 import time
 
@@ -16,6 +17,7 @@ from equitree import (
     coloring_from_certificate,
     complete_bipartite,
     component_diameter_max,
+    construct_knn,
     cycle,
     graph_from_edges,
     is_forest,
@@ -45,6 +47,20 @@ class TestParams:
 
     def test_zero_caps_allowed(self):
         Params(2, 0, 0)
+
+    def test_float_infinity_is_unbounded(self):
+        inf = float("inf")
+        assert Params(3, inf, 2) == Params(3, UNBOUNDED, 2)
+        coloring = construct_knn(8, 5, inf, 2)
+        assert coloring == construct_knn(8, 5, UNBOUNDED, 2)
+        params = Params(5, inf, inf)
+        assert verify(complete_bipartite(8), coloring, params).verdict
+        # The certificate writes null, never the non-JSON token Infinity.
+        text = json.dumps(certificate_from_coloring(coloring, params))
+        assert '"k": null, "d": null' in text and "Infinity" not in text
+        assert coloring_from_certificate(json.loads(text)) == (params, coloring)
+        with pytest.raises(PreconditionError):
+            Params(3, -inf, 2)
 
 
 class TestTreeColoring:

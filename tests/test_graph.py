@@ -5,6 +5,7 @@ import random
 import pytest
 
 from equitree import (
+    ExtensionSequence,
     Graph,
     InputFormatError,
     PreconditionError,
@@ -14,6 +15,7 @@ from equitree import (
     connected_components,
     cycle,
     dodecahedron,
+    fill_sequence,
     format_edge_list,
     girth,
     graph_from_edges,
@@ -24,6 +26,7 @@ from equitree import (
     parse_edge_list,
     path,
     remove_vertices,
+    solve_linear,
 )
 
 
@@ -294,3 +297,43 @@ class TestEdgeListFormat:
     def test_malformed_inputs_rejected(self, text):
         with pytest.raises(InputFormatError):
             parse_edge_list(text)
+
+
+# Every count, size and vertex id must be an int and not a bool; anything
+# else is a typed error at the entry point, never a bare TypeError or
+# ValueError, and True is never read as 1.
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: graph_from_edges(2.5, []), PreconditionError,
+                 id="graph_from_edges-float-n"),
+    pytest.param(lambda: graph_from_edges(2, [(0,)]), InputFormatError,
+                 id="graph_from_edges-one-id"),
+    pytest.param(lambda: graph_from_edges(2, [("0", 1)]), InputFormatError,
+                 id="graph_from_edges-str-id"),
+    pytest.param(lambda: graph_from_edges(2, [(1.5, 0)]), InputFormatError,
+                 id="graph_from_edges-float-id"),
+    pytest.param(lambda: remove_vertices(path(3), ["a"]), PreconditionError,
+                 id="remove_vertices-str"),
+    pytest.param(lambda: remove_vertices(path(3), [1.5]), PreconditionError,
+                 id="remove_vertices-float"),
+    pytest.param(lambda: ExtensionSequence(path(3), ("a",)), PreconditionError,
+                 id="ExtensionSequence-str"),
+    pytest.param(lambda: fill_sequence(path(3), {"1": 0}, 2), PreconditionError,
+                 id="fill_sequence-str-position"),
+    pytest.param(lambda: fill_sequence(path(3), {1: "a"}, 2), PreconditionError,
+                 id="fill_sequence-str-vertex"),
+    pytest.param(lambda: fill_sequence(path(3), {True: 0}, 2), PreconditionError,
+                 id="fill_sequence-bool-position"),
+    pytest.param(lambda: fill_sequence(path(3), {1: True}, 2), PreconditionError,
+                 id="fill_sequence-bool-vertex"),
+    pytest.param(lambda: solve_linear(2.5, 10), PreconditionError,
+                 id="solve_linear-float-a"),
+    pytest.param(lambda: solve_linear("3", 10), PreconditionError,
+                 id="solve_linear-str-a"),
+    pytest.param(lambda: solve_linear(True, 10), PreconditionError,
+                 id="solve_linear-bool-a"),
+    pytest.param(lambda: solve_linear(3, True), PreconditionError,
+                 id="solve_linear-bool-n"),
+])
+def test_non_int_arguments_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
