@@ -8,177 +8,72 @@ graphs, an iterative peel-and-extend engine for sparse planar and
 outerplanar graphs, one verified entry point (``construct``) choosing
 among them, an exhaustive oracle for small instances, and a CLI around
 them.
+
+Public names and submodules are imported on first use, so a process loads
+only the modules whose names it reads.
 """
 
-from .bipartite import (
-    ClassCountVector,
-    SolutionPair,
-    construct_knn,
-    construct_knn_11,
-    construct_knn_inf2,
-    detect_balanced_biclique,
-    even_t_coloring,
-    exact_va11,
-    exact_vainf2,
-    feasible_11,
-    feasible_counts,
-    feasible_inf2,
-    infeasible_by_divisibility,
-    make_class_counts,
-    odd_q_11_coloring,
-    odd_q_inf2_counts,
-    realize_class_counts,
-    relabel_for_sides,
-    solve_linear,
-    two_solution_coloring,
-    va11_upper,
-    vainf2_upper,
-)
-from .coloring import (
-    ClassCheck,
-    Params,
-    TreeColoring,
-    VerificationReport,
-    certificate_from_coloring,
-    coloring_from_certificate,
-    verify,
-)
-from .dispatch import METHODS, construct
-from .errors import (
-    ConfigurationNotFoundError,
-    EquitreeError,
-    InfeasibleVectorError,
-    InputFormatError,
-    NoLowDegreeVertexError,
-    NotEnoughVerticesError,
-    PreconditionError,
-)
-from .graph import (
-    UNBOUNDED,
-    Graph,
-    complete_bipartite,
-    component_diameter_max,
-    connected_components,
-    cycle,
-    dodecahedron,
-    format_edge_list,
-    girth,
-    graph_from_edges,
-    hex_grid,
-    is_forest,
-    max_degree,
-    maximal_outerplanar_random,
-    parse_edge_list,
-    path,
-    remove_vertices,
-)
-from .oracle import (
-    BUDGET_EXCEEDED,
-    FEASIBLE,
-    INFEASIBLE,
-    CrossCheckReport,
-    Disagreement,
-    SearchBudget,
-    SearchResult,
-    brute_force_search,
-    cross_check_bipartite,
-)
-from .sparse import (
-    DEGREE_THREE_LINK,
-    DEGREE_TWO_LINK,
-    LOW_VERTEX,
-    TWO_NEIGHBOR_HUB,
-    Configuration,
-    ExtensionSequence,
-    color_girth5,
-    color_girth6,
-    color_outerplanar,
-    extend_coloring,
-    fill_sequence,
-    find_reducible_girth5,
-    find_reducible_girth6,
-    find_reducible_outerplanar,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUDGET_EXCEEDED",
-    "ClassCheck",
-    "ClassCountVector",
-    "Configuration",
-    "ConfigurationNotFoundError",
-    "CrossCheckReport",
-    "DEGREE_THREE_LINK",
-    "DEGREE_TWO_LINK",
-    "Disagreement",
-    "EquitreeError",
-    "ExtensionSequence",
-    "FEASIBLE",
-    "Graph",
-    "INFEASIBLE",
-    "InfeasibleVectorError",
-    "InputFormatError",
-    "LOW_VERTEX",
-    "METHODS",
-    "NoLowDegreeVertexError",
-    "NotEnoughVerticesError",
-    "Params",
-    "PreconditionError",
-    "SearchBudget",
-    "SearchResult",
-    "SolutionPair",
-    "TWO_NEIGHBOR_HUB",
-    "TreeColoring",
-    "UNBOUNDED",
-    "VerificationReport",
-    "brute_force_search",
-    "certificate_from_coloring",
-    "color_girth5",
-    "color_girth6",
-    "color_outerplanar",
-    "coloring_from_certificate",
-    "complete_bipartite",
-    "component_diameter_max",
-    "connected_components",
-    "construct",
-    "construct_knn",
-    "construct_knn_11",
-    "construct_knn_inf2",
-    "cross_check_bipartite",
-    "cycle",
-    "detect_balanced_biclique",
-    "dodecahedron",
-    "even_t_coloring",
-    "exact_va11",
-    "exact_vainf2",
-    "extend_coloring",
-    "feasible_11",
-    "feasible_counts",
-    "feasible_inf2",
-    "fill_sequence",
-    "find_reducible_girth5",
-    "find_reducible_girth6",
-    "find_reducible_outerplanar",
-    "format_edge_list",
-    "girth",
-    "graph_from_edges",
-    "hex_grid",
-    "infeasible_by_divisibility",
-    "is_forest",
-    "make_class_counts",
-    "max_degree",
-    "maximal_outerplanar_random",
-    "odd_q_11_coloring",
-    "odd_q_inf2_counts",
-    "parse_edge_list",
-    "path",
-    "realize_class_counts",
-    "relabel_for_sides",
-    "remove_vertices",
-    "solve_linear",
-    "two_solution_coloring",
-    "va11_upper",
-    "vainf2_upper",
-    "verify",
-]
+# Each public name, by the submodule that defines it.
+_EXPORTS = {
+    "bipartite": (
+        "ClassCountVector", "SolutionPair", "construct_knn", "construct_knn_11",
+        "construct_knn_inf2", "detect_balanced_biclique", "even_t_coloring",
+        "exact_va11", "exact_vainf2", "feasible_11", "feasible_counts",
+        "feasible_inf2", "infeasible_by_divisibility", "make_class_counts",
+        "odd_q_11_coloring", "odd_q_inf2_counts", "realize_class_counts",
+        "relabel_for_sides", "solve_linear", "two_solution_coloring",
+        "va11_upper", "vainf2_upper",
+    ),
+    "coloring": (
+        "METHODS", "ClassCheck", "Params", "TreeColoring", "VerificationReport",
+        "certificate_from_coloring", "coloring_from_certificate", "verify",
+    ),
+    "dispatch": ("construct",),
+    "errors": (
+        "ConfigurationNotFoundError", "EquitreeError", "InfeasibleVectorError",
+        "InputFormatError", "NoLowDegreeVertexError", "NotEnoughVerticesError",
+        "PreconditionError",
+    ),
+    "graph": (
+        "UNBOUNDED", "Graph", "complete_bipartite", "component_diameter_max",
+        "connected_components", "cycle", "dodecahedron", "format_edge_list",
+        "girth", "graph_from_edges", "hex_grid", "is_forest", "max_degree",
+        "maximal_outerplanar_random", "parse_edge_list", "path",
+        "remove_vertices",
+    ),
+    "oracle": (
+        "BUDGET_EXCEEDED", "FEASIBLE", "INFEASIBLE", "CrossCheckReport",
+        "Disagreement", "SearchBudget", "SearchResult", "brute_force_search",
+        "cross_check_bipartite",
+    ),
+    "sparse": (
+        "DEGREE_THREE_LINK", "DEGREE_TWO_LINK", "LOW_VERTEX", "TWO_NEIGHBOR_HUB",
+        "Configuration", "ExtensionSequence", "color_girth5", "color_girth6",
+        "color_outerplanar", "extend_coloring", "fill_sequence",
+        "find_reducible_girth5", "find_reducible_girth6",
+        "find_reducible_outerplanar",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    # Later lookups are plain reads of this module's dict.
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys() | _SUBMODULES)

@@ -18,15 +18,14 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .bipartite import exact_va11, exact_vainf2, feasible_11, feasible_inf2
 from .coloring import (
+    METHODS,
     Params,
     TreeColoring,
     certificate_from_coloring,
     coloring_from_certificate,
     verify,
 )
-from .dispatch import METHODS, construct
 from .errors import (
     ConfigurationNotFoundError,
     InputFormatError,
@@ -44,13 +43,9 @@ from .graph import (
     parse_edge_list,
     path,
 )
-from .oracle import (
-    BUDGET_EXCEEDED,
-    FEASIBLE,
-    SearchBudget,
-    brute_force_search,
-    cross_check_bipartite,
-)
+
+# The engines (bipartite, dispatch, oracle) are imported by the handlers that
+# call them, so a process loads only what its subcommand runs.
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -156,6 +151,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .dispatch import construct
+
     g = _load_graph(args.graph)
     params = Params(args.t, args.k, args.d)
     coloring = construct(g, params, args.method)
@@ -183,6 +180,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_feasible(args) -> int:
+    from .bipartite import feasible_11, feasible_inf2
+
     if args.variant == "11":
         ok = feasible_11(args.knn, args.q)
         witness = None
@@ -203,6 +202,8 @@ def _cmd_feasible(args) -> int:
 
 
 def _cmd_exact_va(args) -> int:
+    from .bipartite import exact_va11, exact_vainf2
+
     fn = exact_va11 if args.variant == "11" else exact_vainf2
     value = fn(args.knn)
     if args.json:
@@ -213,6 +214,8 @@ def _cmd_exact_va(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .oracle import BUDGET_EXCEEDED, FEASIBLE, SearchBudget, brute_force_search
+
     g = _load_graph(args.graph)
     params = Params(args.t, args.k, args.d)
     budget = SearchBudget(args.max_nodes, args.time_cap)
@@ -234,6 +237,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_cross_check(args) -> int:
+    from .oracle import cross_check_bipartite
+
     report = cross_check_bipartite(args.nmax, args.qmax)
     if args.json:
         print(json.dumps({

@@ -8,6 +8,9 @@ from typing import AbstractSet, Any, Mapping, Sequence, Union
 from .errors import InputFormatError, PreconditionError
 from .graph import UNBOUNDED, Graph, _is_count
 
+# The names of the methods that dispatch.construct chooses among.
+METHODS = ("auto", "girth5", "girth6", "outerplanar")
+
 
 def _check_bound(value: Any, name: str) -> int | float:
     """A cap: a nonnegative int, or any value equal to UNBOUNDED."""
@@ -34,6 +37,13 @@ class Params:
             raise PreconditionError("t must be an int >= 1")
         _check_bound(self.k, "k")
         _check_bound(self.d, "d")
+
+
+def _check_params(params: Any) -> None:
+    if not isinstance(params, Params):
+        raise PreconditionError(
+            f"params must be a Params, got {type(params).__name__}"
+        )
 
 
 @dataclass(frozen=True)
@@ -188,6 +198,7 @@ def verify(g: Graph, coloring: TreeColoring, params: Params) -> VerificationRepo
     or the parameter block (wrong length, wrong t).  Semantic failures are
     reported in the returned VerificationReport, not raised.
     """
+    _check_params(params)
     if coloring.t != params.t:
         raise InputFormatError(
             f"coloring declares t={coloring.t} but parameters say t={params.t}"

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from .bipartite import construct_knn, detect_balanced_biclique, relabel_for_sides
-from .coloring import Params, TreeColoring, verify
+from .coloring import METHODS, Params, TreeColoring, _check_params, verify
 from .errors import ConfigurationNotFoundError, PreconditionError
 from .graph import UNBOUNDED, Graph
 from .sparse import color_girth5, color_girth6, color_outerplanar
-
-METHODS = ("auto", "girth5", "girth6", "outerplanar")
 
 
 def _build(g: Graph, params: Params, method: str) -> TreeColoring:
@@ -47,6 +45,7 @@ def construct(g: Graph, params: Params, method: str = "auto") -> TreeColoring:
     The result is verified once; PreconditionError when it misses the caps
     or no method supports the input.
     """
+    _check_params(params)
     if method not in METHODS:
         raise PreconditionError(
             f"unknown method {method!r}; expected one of {', '.join(METHODS)}"

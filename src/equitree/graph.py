@@ -31,14 +31,18 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = len(self.adjacency)
-        for v, nbrs in enumerate(self.adjacency):
-            if v in nbrs:
-                raise InputFormatError(f"self-loop at vertex {v}")
-            for u in nbrs:
-                if not 0 <= u < n:
-                    raise InputFormatError(f"neighbor {u} of vertex {v} out of range")
-                if v not in self.adjacency[u]:
-                    raise InputFormatError(f"asymmetric adjacency between {v} and {u}")
+        # A neighbor that is not an int fails to compare or index.
+        try:
+            for v, nbrs in enumerate(self.adjacency):
+                if v in nbrs:
+                    raise InputFormatError(f"self-loop at vertex {v}")
+                for u in nbrs:
+                    if not 0 <= u < n:
+                        raise InputFormatError(f"neighbor {u} of vertex {v} out of range")
+                    if v not in self.adjacency[u]:
+                        raise InputFormatError(f"asymmetric adjacency between {v} and {u}")
+        except TypeError as exc:
+            raise InputFormatError(f"neighbors must be int vertex ids: {exc}") from exc
 
     @property
     def n(self) -> int:
@@ -83,6 +87,12 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             adj[v].add(u)
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"edges must be pairs of int vertex ids: {exc}") from exc
+    # A bool id equals 0 or 1, so only the neighbors of 0 and 1 can hold one:
+    # store those two ids as ints.
+    for v in range(min(n, 2)):
+        for u in adj[v]:
+            adj[u].discard(v)
+            adj[u].add(v)
     return Graph(tuple(frozenset(s) for s in adj))
 
 

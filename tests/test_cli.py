@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from equitree import (ClassCountVector, CrossCheckReport, Disagreement, cli,
-                      parse_edge_list)
+                      oracle, parse_edge_list)
 from equitree.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -322,7 +322,7 @@ class TestCrossCheckCommand:
     def test_disagreement_is_listed(self, capsys, monkeypatch):
         report = CrossCheckReport(
             4, (Disagreement(2, 3, "inf2", "budget-exceeded", True),))
-        monkeypatch.setattr(cli, "cross_check_bipartite",
+        monkeypatch.setattr(oracle, "cross_check_bipartite",
                             lambda n_max, q_max: report)
         code, out, _ = run(capsys, "cross-check", "--nmax", "2",
                            "--qmax", "2")

@@ -9,10 +9,12 @@ from equitree import (
     Graph,
     InputFormatError,
     PreconditionError,
+    TreeColoring,
     UNBOUNDED,
     complete_bipartite,
     component_diameter_max,
     connected_components,
+    construct,
     cycle,
     dodecahedron,
     fill_sequence,
@@ -27,6 +29,7 @@ from equitree import (
     path,
     remove_vertices,
     solve_linear,
+    verify,
 )
 
 
@@ -278,6 +281,12 @@ class TestEdgeListFormat:
         g = parse_edge_list("\np 3 1\n\n0 2\n\n")
         assert (g.n, g.m) == (3, 1)
 
+    def test_bool_ids_written_as_ints(self):
+        g = graph_from_edges(2, [(True, 0)])
+        text = format_edge_list(g)
+        assert text.splitlines()[1:] == ["0 1"]
+        assert parse_edge_list(text) == g
+
     def test_isolated_vertices_survive_round_trip(self):
         g = graph_from_edges(5, [(0, 1)])
         assert parse_edge_list(format_edge_list(g)).n == 5
@@ -311,6 +320,14 @@ class TestEdgeListFormat:
                  id="graph_from_edges-str-id"),
     pytest.param(lambda: graph_from_edges(2, [(1.5, 0)]), InputFormatError,
                  id="graph_from_edges-float-id"),
+    pytest.param(lambda: Graph((frozenset({"a"}),)), InputFormatError,
+                 id="Graph-str-neighbor"),
+    pytest.param(lambda: Graph((frozenset({1.5}), frozenset())), InputFormatError,
+                 id="Graph-float-neighbor"),
+    pytest.param(lambda: verify(path(3), TreeColoring((1, 2, 1), 2), "x"),
+                 PreconditionError, id="verify-str-params"),
+    pytest.param(lambda: construct(path(3), 2), PreconditionError,
+                 id="construct-int-params"),
     pytest.param(lambda: remove_vertices(path(3), ["a"]), PreconditionError,
                  id="remove_vertices-str"),
     pytest.param(lambda: remove_vertices(path(3), [1.5]), PreconditionError,
