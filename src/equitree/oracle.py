@@ -7,8 +7,11 @@ degree cap, diameter cap) restricted to the component the new vertex
 joins, and optionally on color symmetry.  It is meant as ground truth
 against the closed-form feasibility predicates, so the pruning is
 deliberately conservative.  The search is one loop over an explicit
-index, so its depth is not limited, and it measures a component through
-verify's kernel, coloring._measure.
+index, so its depth is not limited.  It keeps the vertices of each color
+class as a set, so the new vertex's class neighbors are one set
+intersection.  A vertex that joins only lone vertices makes a star, whose
+degree and diameter are known; every other component it joins is
+measured through verify's kernel, coloring._measure.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .bipartite import feasible_11, feasible_inf2
-from .coloring import Params, TreeColoring, _measure
+from .coloring import Params, TreeColoring, _check_params, _measure
 from .errors import PreconditionError
 from .graph import UNBOUNDED, Graph, _is_count, complete_bipartite
 
@@ -61,8 +64,11 @@ def brute_force_search(g: Graph, params: Params,
     suite uses to cross-check the pruned search on tiny graphs.  On the
     empty graph the loop never runs: feasible after 0 nodes.
     """
+    _check_params(params)
     if budget is None:
         budget = SearchBudget()
+    elif not isinstance(budget, SearchBudget):
+        raise PreconditionError(f"budget must be a SearchBudget, got {type(budget).__name__}")
     n, t, k, d = g.n, params.t, params.k, params.d
     adjacency = g.adjacency
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
@@ -73,12 +79,15 @@ def brute_force_search(g: Graph, params: Params,
     full = n % t or t
     colors = [0] * n
     sizes = [0] * (t + 1)
-    # same[v]: the colored neighbors of v in v's class.
+    # members[c]: the vertices colored c.  same[v], while v is colored: the
+    # colored neighbors of v in v's class.
+    members: list[set[int]] = [set() for _ in range(t + 1)]
     same: list[set[int]] = [set() for _ in range(n)]
     # used[i]: the largest color among the first i vertices of the order.
     used = [0] * (n + 1)
     nodes, at_cap = 0, 0
-    deadline = time.monotonic() + budget.time_cap
+    max_nodes, monotonic = budget.max_nodes, time.monotonic
+    deadline = monotonic() + budget.time_cap
     index = 0
     while index < n:
         # The color counter of this index is the color its vertex holds;
@@ -88,12 +97,12 @@ def brute_force_search(g: Graph, params: Params,
         if c:
             for u in same[v]:
                 same[u].remove(v)
-            same[v].clear()
+            members[c].remove(v)
             if sizes[c] == hi:
                 at_cap -= 1
             sizes[c] -= 1
             colors[v] = 0
-        top = min(t, used[index] + 1) if symmetry else t
+        top = used[index] + 1 if symmetry and used[index] < t else t
         c += 1
         while c <= top and (sizes[c] >= hi or (
                 sizes[c] == hi - 1 and at_cap == full)):
@@ -104,8 +113,8 @@ def brute_force_search(g: Graph, params: Params,
                 return SearchResult(INFEASIBLE, None, nodes)
             continue
         nodes += 1
-        if nodes > budget.max_nodes or (
-                nodes % 1024 == 0 and time.monotonic() > deadline):
+        if nodes > max_nodes or (
+                nodes % 1024 == 0 and monotonic() > deadline):
             return SearchResult(BUDGET_EXCEEDED, None, nodes)
         colors[v] = c
         sizes[c] += 1
@@ -114,14 +123,24 @@ def brute_force_search(g: Graph, params: Params,
         # Every accepted partial coloring meets the caps, so only v and its
         # new class neighbors can break the degree cap, and only v's
         # component can hold a cycle or exceed the diameter cap.
-        mates = same[v]
-        mates.update(u for u in adjacency[v] if colors[u] == c)
+        cls = members[c]
+        mates = same[v] = cls & adjacency[v]
+        cls.add(v)
         if mates:
+            star = True
             for u in mates:
+                if same[u]:
+                    star = False
                 same[u].add(v)
-            if len(mates) > k or any(len(same[u]) > k for u in mates):
+            if len(mates) > k:
                 continue
-            diameter = _measure(same, v)[1]
+            if star:
+                # Every mate was alone: a star centred on v, of degree len(mates).
+                diameter = 1 if len(mates) == 1 else 2
+            elif any(len(same[u]) > k for u in mates):
+                continue
+            else:
+                diameter = _measure(same, v)[1]
             if diameter is None or diameter > d:
                 continue
         used[index + 1] = max(used[index], c)

@@ -8,13 +8,16 @@ from equitree import (
     ExtensionSequence,
     Graph,
     InputFormatError,
+    Params,
     PreconditionError,
     TreeColoring,
     UNBOUNDED,
+    brute_force_search,
     complete_bipartite,
     component_diameter_max,
     connected_components,
     construct,
+    cross_check_bipartite,
     cycle,
     dodecahedron,
     fill_sequence,
@@ -328,6 +331,12 @@ class TestEdgeListFormat:
                  PreconditionError, id="verify-str-params"),
     pytest.param(lambda: construct(path(3), 2), PreconditionError,
                  id="construct-int-params"),
+    pytest.param(lambda: brute_force_search(path(3), 3), PreconditionError,
+                 id="brute_force_search-int-params"),
+    pytest.param(lambda: brute_force_search(path(3), Params(2), "x"), PreconditionError,
+                 id="brute_force_search-str-budget"),
+    pytest.param(lambda: cross_check_bipartite(2, 2, "x"), PreconditionError,
+                 id="cross_check_bipartite-str-budget"),
     pytest.param(lambda: remove_vertices(path(3), ["a"]), PreconditionError,
                  id="remove_vertices-str"),
     pytest.param(lambda: remove_vertices(path(3), [1.5]), PreconditionError,

@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -10,15 +11,19 @@ from equitree import (
     BUDGET_EXCEEDED,
     FEASIBLE,
     INFEASIBLE,
+    Graph,
     Params,
     PreconditionError,
     SearchBudget,
+    SearchResult,
+    TreeColoring,
     UNBOUNDED,
     brute_force_search,
     complete_bipartite,
     cross_check_bipartite,
     component_diameter_max,
     cycle,
+    dodecahedron,
     graph_from_edges,
     is_forest,
     max_degree,
@@ -26,6 +31,7 @@ from equitree import (
     remove_vertices,
     verify,
 )
+from equitree.coloring import _measure
 
 
 def _reference_ok(g, colors, params):
@@ -41,6 +47,83 @@ def _reference_ok(g, colors, params):
         if component_diameter_max(h) > params.d:
             return False
     return True
+
+
+def _reference_search(g: Graph, params: Params,
+                      budget: SearchBudget | None = None,
+                      symmetry: bool = True) -> SearchResult:
+    """The search loop as it was before member sets and the star rule.
+
+    It scans every neighbor of the new vertex for its color and measures
+    every component the new vertex joins.  The library's search must visit
+    the same tree: same status, coloring and node count on every input.
+    """
+    if budget is None:
+        budget = SearchBudget()
+    n, t, k, d = g.n, params.t, params.k, params.d
+    adjacency = g.adjacency
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    # No class passes hi and at most full classes reach it, so the classes
+    # below n // t never lack more vertices than remain uncolored.  If t | n,
+    # at_cap == full only once all are colored: no class is at hi - 1.
+    hi = -(-n // t)
+    full = n % t or t
+    colors = [0] * n
+    sizes = [0] * (t + 1)
+    # same[v]: the colored neighbors of v in v's class.
+    same: list[set[int]] = [set() for _ in range(n)]
+    # used[i]: the largest color among the first i vertices of the order.
+    used = [0] * (n + 1)
+    nodes, at_cap = 0, 0
+    deadline = time.monotonic() + budget.time_cap
+    index = 0
+    while index < n:
+        # The color counter of this index is the color its vertex holds;
+        # take it back, then try the next one.
+        v = order[index]
+        c = colors[v]
+        if c:
+            for u in same[v]:
+                same[u].remove(v)
+            same[v].clear()
+            if sizes[c] == hi:
+                at_cap -= 1
+            sizes[c] -= 1
+            colors[v] = 0
+        top = min(t, used[index] + 1) if symmetry else t
+        c += 1
+        while c <= top and (sizes[c] >= hi or (
+                sizes[c] == hi - 1 and at_cap == full)):
+            c += 1
+        if c > top:
+            index -= 1
+            if index < 0:
+                return SearchResult(INFEASIBLE, None, nodes)
+            continue
+        nodes += 1
+        if nodes > budget.max_nodes or (
+                nodes % 1024 == 0 and time.monotonic() > deadline):
+            return SearchResult(BUDGET_EXCEEDED, None, nodes)
+        colors[v] = c
+        sizes[c] += 1
+        if sizes[c] == hi:
+            at_cap += 1
+        # Every accepted partial coloring meets the caps, so only v and its
+        # new class neighbors can break the degree cap, and only v's
+        # component can hold a cycle or exceed the diameter cap.
+        mates = same[v]
+        mates.update(u for u in adjacency[v] if colors[u] == c)
+        if mates:
+            for u in mates:
+                same[u].add(v)
+            if len(mates) > k or any(len(same[u]) > k for u in mates):
+                continue
+            diameter = _measure(same, v)[1]
+            if diameter is None or diameter > d:
+                continue
+        used[index + 1] = max(used[index], c)
+        index += 1
+    return SearchResult(FEASIBLE, TreeColoring(tuple(colors), t), nodes)
 
 
 class TestBruteForce:
@@ -186,6 +269,78 @@ class TestDepth:
             sys.setrecursionlimit(limit)
         assert result.status == FEASIBLE
         assert verify(g, result.coloring, Params(2)).verdict
+
+
+CAP_VALUES = (0, 1, 2, 3, UNBOUNDED)
+
+
+def _random_graph(rng, n):
+    p = rng.random()
+    return graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p])
+
+
+class TestSameTreeAsReference:
+    """Member sets and the star rule change the work per node, never the
+    tree: every search returns what the reference loop returns, node count
+    included."""
+
+    def _assert_same(self, g, params, budget=None, symmetry=True):
+        expected = _reference_search(g, params, budget, symmetry)
+        assert brute_force_search(g, params, budget, symmetry) == expected, (
+            g.adjacency, params, budget, symmetry)
+        return expected
+
+    def test_random_graphs_every_t_and_cap_pair(self):
+        rng = random.Random(17)
+        # The node cap only guards the test's run time: every one of these
+        # searches runs to its end.
+        budget = SearchBudget(max_nodes=20_000)
+        statuses = set()
+        for n in list(range(1, 10)) * 3:
+            g = _random_graph(rng, n)
+            for t in range(1, n + 2):
+                for k, d in itertools.product(CAP_VALUES, repeat=2):
+                    for symmetry in (True, False):
+                        result = self._assert_same(g, Params(t, k, d), budget, symmetry)
+                        statuses.add(result.status)
+        assert statuses == {FEASIBLE, INFEASIBLE}
+
+    def test_tight_budgets_stop_mid_search(self):
+        rng = random.Random(18)
+        for _ in range(300):
+            g = _random_graph(rng, rng.randint(4, 9))
+            params = Params(rng.randint(1, 4), rng.choice(CAP_VALUES), rng.choice(CAP_VALUES))
+            symmetry = rng.random() < 0.5
+            full = _reference_search(g, params, None, symmetry).nodes
+            # A cap below the full search's node count stops it at cap + 1.
+            budget = SearchBudget(max_nodes=rng.randint(1, max(1, full - 1)))
+            result = self._assert_same(g, params, budget, symmetry)
+            assert full <= 1 or result.nodes == budget.max_nodes + 1
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_complete_bipartite_both_variants(self, n):
+        g = complete_bipartite(n)
+        for q in range(1, 2 * n + 3):
+            for k, d in ((1, 1), (UNBOUNDED, 2)):
+                self._assert_same(g, Params(q, k, d))
+
+    @pytest.mark.parametrize("t, k, d", [(2, 1, 1), (2, UNBOUNDED, 2), (3, 1, 1),
+                                         (3, 2, 2), (4, 0, 0), (5, 0, 0)])
+    def test_capped_dodecahedron(self, t, k, d):
+        result = self._assert_same(dodecahedron(), Params(t, k, d),
+                                   SearchBudget(max_nodes=200_000, time_cap=600.0))
+        assert result.status == FEASIBLE
+
+
+class TestNodeCounts:
+    """The searches the K_{n,n} results rest on.  A pruning rule that cuts
+    nodes has to move these pins on purpose."""
+
+    @pytest.mark.parametrize("n, t, nodes", [(5, 3, 547), (8, 3, 8_144), (8, 5, 570_419)])
+    def test_infeasible_under_caps_11(self, n, t, nodes):
+        result = brute_force_search(complete_bipartite(n), Params(t, 1, 1))
+        assert (result.status, result.nodes) == (INFEASIBLE, nodes)
 
 
 class TestCrossCheck:
