@@ -438,30 +438,21 @@ def construct_knn_inf2(n: int, q: int) -> TreeColoring:
 def detect_balanced_biclique(g) -> tuple[list[int], list[int]] | None:
     """Return the two sides of g when it is some K_{n,n}, else None.
 
-    The side containing vertex 0 comes first; both sides are sorted.  With
-    every degree half the order, only an odd cycle can still fail: each
-    component has half + 1 vertices or more, so there is one, and each side
-    holds all half neighbours of a vertex on the other, so they balance.
+    The side containing vertex 0 comes first; both sides are sorted.  g is
+    K_{n,n} exactly when vertex 0 has half the vertices as neighbors, ys,
+    and every vertex's neighbor set is the side it is not on: ys for each
+    vertex of xs, the rest, and xs for each vertex of ys.
     """
     total = g.n
-    if total == 0 or total % 2:
+    adjacency = g.adjacency
+    if total == 0 or len(adjacency[0]) * 2 != total:
         return None
-    half = total // 2
-    if any(g.degree(v) != half for v in range(total)):
+    ys = adjacency[0]
+    xs = frozenset(range(total)) - ys
+    if not (all(adjacency[v] == ys for v in xs)
+            and all(adjacency[v] == xs for v in ys)):
         return None
-    side = [-1] * total
-    side[0] = 0
-    queue = [0]
-    for u in queue:
-        for w in g.adjacency[u]:
-            if side[w] < 0:
-                side[w] = 1 - side[u]
-                queue.append(w)
-            elif side[w] == side[u]:
-                return None
-    xs = [v for v in range(total) if side[v] == 0]
-    ys = [v for v in range(total) if side[v] == 1]
-    return xs, ys
+    return sorted(xs), sorted(ys)
 
 
 def relabel_for_sides(coloring: TreeColoring, xs: list[int],

@@ -286,8 +286,4 @@ def coloring_from_certificate(data: Mapping[str, Any]) -> tuple[Params, TreeColo
         raise InputFormatError(
             f"'colors' has {len(colors)} entries but 'n_vertices' is {n}"
         )
-    try:
-        params = Params(t, bound("k"), bound("d"))
-    except PreconditionError as exc:
-        raise InputFormatError(str(exc)) from exc
-    return params, TreeColoring(tuple(colors), t)
+    return Params(t, bound("k"), bound("d")), TreeColoring(tuple(colors), t)

@@ -10,7 +10,8 @@ deliberately conservative.  The search is one loop over an explicit
 index, so its depth is not limited.  It keeps the vertices of each color
 class as a set, so the new vertex's class neighbors are one set
 intersection.  A vertex that joins only lone vertices makes a star, whose
-degree and diameter are known; every other component it joins is
+degree and diameter are known; with no diameter cap, a vertex with one
+class neighbor hangs a leaf on a tree; every other component it joins is
 measured through verify's kernel, coloring._measure.
 """
 
@@ -139,6 +140,10 @@ def brute_force_search(g: Graph, params: Params,
                 diameter = 1 if len(mates) == 1 else 2
             elif any(len(same[u]) > k for u in mates):
                 continue
+            elif d == UNBOUNDED and len(mates) == 1:
+                # Every accepted class is a forest, so one edge into it
+                # hangs a leaf on a tree, whose diameter no cap bounds.
+                diameter = 0
             else:
                 diameter = _measure(same, v)[1]
             if diameter is None or diameter > d:

@@ -191,16 +191,14 @@ class _Residual:
                 heappush(heap, w)
         return best
 
-    def ascending(self, d: int, skip: Container[int],
-                  restart: bool = False) -> Iterator[int]:
+    def ascending(self, d: int, skip: Container[int]) -> Iterator[int]:
         """The live vertices of degree d not in skip, lowest id first.
 
         The lowest comes from the top of heaps[d].  After it, the walk
         reads the heap without popping it: a small frontier heap holds the
-        positions whose parents were visited.  A caller that changes the
-        residual between two ids, as the fill does, asks for a restart:
-        each id is then found by a walk from the root that skips every id
-        up to the last one given.
+        positions whose parents were visited.  The residual must not
+        change while the walk runs; a caller that changes it drops the
+        walk and starts a new one.
         """
         last = self.lowest(d, d, skip)
         if last is None:
@@ -213,9 +211,6 @@ class _Residual:
             if v > last and deg[v] == d and v not in skip:
                 last = v
                 yield v
-                if restart:
-                    frontier = [(heap[0], 0)] if heap else []
-                    continue
             for j in (2 * i + 1, 2 * i + 2):
                 if j < len(heap):
                     heappush(frontier, (heap[j], j))
@@ -363,7 +358,7 @@ def _options(res: _Residual, pinned: Mapping[int, int],
     heaps = res.heaps
     for d in range(min(cap, len(heaps) - 1) + 1):
         if heaps[d]:
-            yield from res.ascending(d, below, restart=True)
+            yield from res.ascending(d, below)
     adj, deg = res.adj, res.deg
     near = set().union(*(adj[w] for w in below)) - below
     yield from sorted((u for u in near if cap < deg[u] <= cap + len(adj[u] & below)),
@@ -375,12 +370,17 @@ def _fill(res: _Residual, pinned: Mapping[int, int], t: int) -> tuple[int, ...]:
 
     A chosen vertex is deleted from the residual at once, so a vertex's
     degree there is its count of neighbors not yet chosen; backtracking
-    restores it.  One candidate iterator per position stands in for a
-    call stack.
+    restores it.  A restore gives back exactly the residual that the
+    position's candidates were read from, so a backtrack reads them again
+    and resumes after the one it undid, spending no budget on the re-read.
+
+    On the promised classes the fill never backtracks: every subgraph
+    there has average degree below 4, so at each unpinned position the
+    first candidate completes.  Off those classes it can need to, and a
+    greedy fill that never backtracks loses colorings there.
     """
     slots = [0] * t
     budget = _FILL_BUDGET
-    above: list[Iterator[int]] = []
     position = t
     options = _options(res, pinned, position)
     while True:
@@ -391,8 +391,11 @@ def _fill(res: _Residual, pinned: Mapping[int, int], t: int) -> tuple[int, ...]:
                     "no assignment of low-degree vertices completes the sequence"
                 )
             position += 1
-            res.restore(slots[position - 1])
-            options = above.pop()
+            undone = slots[position - 1]
+            res.restore(undone)
+            options = _options(res, pinned, position)
+            while next(options) != undone:
+                pass
             continue
         if position not in pinned:
             budget -= 1
@@ -405,7 +408,6 @@ def _fill(res: _Residual, pinned: Mapping[int, int], t: int) -> tuple[int, ...]:
         res.delete(v)
         if position == 1:
             return tuple(slots)
-        above.append(options)
         position -= 1
         options = _options(res, pinned, position)
 

@@ -418,13 +418,79 @@ class TestBicliqueDetection:
         cycle(6),
         graph_from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),
         graph_from_edges(2, []),
-        # 3-regular on 6 vertices but not bipartite: only the odd-cycle
-        # check can reject the triangular prism.
+        # The triangular prism: 3-regular on 6 vertices, but not bipartite.
         graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                              (0, 3), (1, 4), (2, 5)]),
     ])
     def test_non_bicliques_rejected(self, g):
         assert detect_balanced_biclique(g) is None
+
+    def test_matches_two_coloring_reference(self):
+        rng = random.Random(31)
+        graphs = [graph_from_edges(0, []), path(1), path(2),
+                  graph_from_edges(4, [(0, 1), (2, 3)])]
+        for n in range(1, 41):
+            graphs += [complete_bipartite(n), _shuffled(complete_bipartite(n), rng)]
+            if n >= 2:
+                graphs += [_edge_swapped(n), _shuffled(_edge_swapped(n), rng)]
+                jumps = [1, 2, *rng.sample(range(3, n), n // 2 - 2)] if n >= 4 else [1]
+                if n % 2:
+                    jumps.append(n)  # the antipodal jump adds 1 to each degree
+                graphs.append(_shuffled(_circulant(2 * n, jumps), rng))
+            m = rng.choice([v for v in range(1, 41) if v != n])
+            graphs.append(graph_from_edges(
+                m + n, [(i, m + j) for i in range(m) for j in range(n)]))
+        for _ in range(300):
+            n = rng.randint(1, 24)
+            p = rng.random()
+            graphs.append(graph_from_edges(
+                n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p]))
+        found = 0
+        for g in graphs:
+            expected = _reference_detect(g)
+            assert detect_balanced_biclique(g) == expected, g.adjacency
+            found += expected is not None
+        assert found >= 80  # every K_{n,n} above, canonical and shuffled
+
+
+def _reference_detect(g):
+    """detect_balanced_biclique as a BFS 2-coloring, kept as the reference."""
+    total = g.n
+    if total == 0 or total % 2:
+        return None
+    half = total // 2
+    if any(g.degree(v) != half for v in range(total)):
+        return None
+    side = [-1] * total
+    side[0] = 0
+    queue = [0]
+    for u in queue:
+        for w in g.adjacency[u]:
+            if side[w] < 0:
+                side[w] = 1 - side[u]
+                queue.append(w)
+            elif side[w] == side[u]:
+                return None
+    xs = [v for v in range(total) if side[v] == 0]
+    ys = [v for v in range(total) if side[v] == 1]
+    return xs, ys
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _edge_swapped(n):
+    """K_{n,n} with x0y0, x1y1 swapped for x0x1, y0y1: n-regular, not bipartite."""
+    edges = set(complete_bipartite(n).edges()) - {(0, n), (1, n + 1)}
+    return graph_from_edges(2 * n, [*edges, (0, 1), (n, n + 1)])
+
+
+def _circulant(total, jumps):
+    return graph_from_edges(total, {tuple(sorted((v, (v + j) % total)))
+                                    for v in range(total) for j in jumps})
 
 
 class TestInstanceValidation:
@@ -452,6 +518,17 @@ class TestInstanceValidation:
     def test_non_int_sizes_rejected(self, call, args):
         with pytest.raises(PreconditionError, match="int"):
             call(*args)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: odd_q_11_coloring(7, 6), "needs odd q"),
+        (lambda: two_solution_coloring(5, SolutionPair(0, 0), SolutionPair(5, 0)),
+         "not a usable solution pair"),
+        (lambda: relabel_for_sides(even_t_coloring(2, 2), [0], [1, 2]),
+         "side lists do not match"),
+    ], ids=["odd_q_11-even-q", "two_solution-empty-pair", "relabel-unbalanced-sides"])
+    def test_unusable_arguments_rejected(self, call, message):
+        with pytest.raises(PreconditionError, match=message):
+            call()
 
 
 # ---- an independent reference: sumsets of allowed class shapes ----------

@@ -71,6 +71,8 @@ class TestTreeColoring:
             TreeColoring((1, 3), 2)
         with pytest.raises(InputFormatError):
             TreeColoring((True, 1), 2)
+        with pytest.raises(InputFormatError, match="t must be"):
+            TreeColoring((), 0)
 
     @pytest.mark.parametrize("colors, message", [
         ((1, 2, True), "vertex 2 has color True, outside 1..3"),

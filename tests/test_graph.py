@@ -305,6 +305,7 @@ class TestEdgeListFormat:
         "0 0\n",
         "0 1\n0 1\n",
         "p 2 1\n0 5\n",
+        "p -1 0\n",
     ])
     def test_malformed_inputs_rejected(self, text):
         with pytest.raises(InputFormatError):

@@ -31,6 +31,7 @@ from equitree import (
     remove_vertices,
     verify,
 )
+from equitree import oracle
 from equitree.coloring import _measure
 
 
@@ -254,10 +255,16 @@ class TestBruteForce:
 class TestDepth:
     """The search takes no stack frame per vertex."""
 
-    def test_long_path(self):
+    def test_long_path(self, monkeypatch):
+        # With d unbounded every join is one edge into a tree: nothing is
+        # measured, so the chain stays linear.
+        measured = []
+        monkeypatch.setattr(oracle, "_measure",
+                            lambda same, root: measured.append(root) or _measure(same, root))
         result = brute_force_search(path(1500), Params(1))
         assert result.status == FEASIBLE
         assert result.nodes == 1500
+        assert not measured
 
     def test_runs_under_a_low_recursion_limit(self):
         g = path(400)
@@ -317,6 +324,25 @@ class TestSameTreeAsReference:
             budget = SearchBudget(max_nodes=rng.randint(1, max(1, full - 1)))
             result = self._assert_same(g, params, budget, symmetry)
             assert full <= 1 or result.nodes == budget.max_nodes + 1
+
+    def test_trees_without_a_diameter_cap(self):
+        # A join with one mate skips the measure only when d is unbounded.
+        rng = random.Random(19)
+        graphs = [path(n) for n in (2, 3, 8, 31)]
+        for n in (6, 13, 24):
+            graphs.append(graph_from_edges(
+                n, [(v, rng.randrange(v)) for v in range(1, n)]))
+            spine = n // 3
+            graphs.append(graph_from_edges(
+                n, [(v, v + 1) for v in range(spine - 1)]
+                + [(v, rng.randrange(spine)) for v in range(spine, n)]))
+        budget = SearchBudget(max_nodes=20_000)
+        statuses = set()
+        for g in graphs:
+            for t in (1, 2, 3):
+                for k in (1, 2, UNBOUNDED):
+                    statuses.add(self._assert_same(g, Params(t, k), budget).status)
+        assert statuses == {FEASIBLE, INFEASIBLE}
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_complete_bipartite_both_variants(self, n):
