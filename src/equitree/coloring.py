@@ -87,18 +87,18 @@ class ClassCheck:
     """Measured facts about one color class.
 
     ``max_degree`` is the largest degree in the subgraph the class induces.
-    ``diameter`` is the largest eccentricity of any vertex within its own
-    component: the largest component diameter, whether or not the class is a
-    forest.  Classes of size 0 or 1, and independent sets of any size,
-    report ``ClassCheck(size, True, 0, 0)``.  A class of at most three
-    vertices is fixed, up to isomorphism, by its induced edge count, so its
-    check is a constant of ``_SMALL``; the triangle is ``(3, False, 2, 1)``.
+    ``diameter`` is the largest component diameter of a forest class, and
+    None for a class with a cycle, which already fails every cap pair.
+    Classes of size 0 or 1, and independent sets of any size, report
+    ``ClassCheck(size, True, 0, 0)``.  A class of at most three vertices is
+    fixed, up to isomorphism, by its induced edge count, so its check is a
+    constant of ``_SMALL``; the triangle is ``(3, False, 2, None)``.
     """
 
     size: int
     is_forest: bool
     max_degree: int
-    diameter: int
+    diameter: int | None
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class VerificationReport:
 _SMALL = ((ClassCheck(0, True, 0, 0),), (ClassCheck(1, True, 0, 0),),
           (ClassCheck(2, True, 0, 0), ClassCheck(2, True, 1, 1)),
           (ClassCheck(3, True, 0, 0), ClassCheck(3, True, 1, 1),
-           ClassCheck(3, True, 2, 2), ClassCheck(3, False, 2, 1)))
+           ClassCheck(3, True, 2, 2), ClassCheck(3, False, 2, None)))
 
 
 # A class's induced adjacency: a dict by vertex, or a list indexed by vertex.
@@ -155,8 +155,8 @@ def _class_checks(g: Graph, members: list[int]) -> ClassCheck:
 
     A class of at most three vertices is looked up in _SMALL by its induced
     edge count, one adjacency test per pair.  In a larger class each
-    component goes through _measure; only a component with a cycle pays a
-    sweep from every vertex, for the reported diameter.
+    component goes through _measure, and the first component with a cycle
+    ends the check: the class is not a forest, so it has no diameter to report.
     """
     adjacency = g.adjacency
     size = len(members)
@@ -176,19 +176,17 @@ def _class_checks(g: Graph, members: list[int]) -> ClassCheck:
         return ClassCheck(size, True, 0, 0)
 
     seen: set[int] = set()
-    forest = True
     diameter = 0
     for s in members:
         if s in seen or not inside[s]:
             continue
         comp, ecc = _measure(inside, s)
-        seen.update(comp)
         if ecc is None:
-            forest = False
-            ecc = max(_sweep(inside, root)[1] for root in comp)
+            return ClassCheck(size, False, max_degree, None)
+        seen.update(comp)
         if ecc > diameter:
             diameter = ecc
-    return ClassCheck(size, forest, max_degree, diameter)
+    return ClassCheck(size, True, max_degree, diameter)
 
 
 def verify(g: Graph, coloring: TreeColoring, params: Params) -> VerificationReport:

@@ -17,6 +17,7 @@ from equitree import (
     coloring_from_certificate,
     complete_bipartite,
     component_diameter_max,
+    construct,
     construct_knn,
     cycle,
     graph_from_edges,
@@ -26,6 +27,7 @@ from equitree import (
     remove_vertices,
     verify,
 )
+from equitree.coloring import _sweep
 
 
 class TestParams:
@@ -210,25 +212,27 @@ class TestClassCheckSemantics:
         assert rep.verdict
         assert rep.classes == (ClassCheck(3, True, 0, 0),) * 2
 
-    def test_bare_cycle_reports_its_diameter(self):
+    def test_bare_cycle_reports_no_diameter(self):
         rep = verify(cycle(5), TreeColoring((1,) * 5, 1), Params(1))
-        assert rep.classes == (ClassCheck(5, False, 2, 2),)
+        assert rep.classes == (ClassCheck(5, False, 2, None),)
         assert rep.first_violation == "class 1 contains a cycle"
 
-    def test_cycle_with_pendant_path_reports_largest_eccentricity(self):
-        # C4 on 0..3 with the path 0-4-5-6 hanging off vertex 0: the far end
-        # 6 is five steps from 2, the vertex opposite 0 on the cycle.
+    def test_cycle_with_pendant_path_reports_no_diameter(self):
+        # C4 on 0..3 with the path 0-4-5-6 hanging off vertex 0: the degree
+        # is still measured over the whole class.
         g = graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0),
                                  (0, 4), (4, 5), (5, 6)])
         rep = verify(g, TreeColoring((1,) * 7, 1), Params(1))
-        assert rep.classes == (ClassCheck(7, False, 3, 5),)
+        assert rep.classes == (ClassCheck(7, False, 3, None),)
 
     def test_cyclic_and_tree_components_in_one_class(self):
-        # A triangle and a path on four vertices, plus an isolated vertex.
-        g = graph_from_edges(8, [(0, 1), (1, 2), (2, 0),
-                                 (3, 4), (4, 5), (5, 6)])
+        # A path on four vertices, then a triangle, plus an isolated vertex:
+        # the path is measured first, but a class with a cycle reports no
+        # diameter.
+        g = graph_from_edges(8, [(0, 1), (1, 2), (2, 3),
+                                 (4, 5), (5, 6), (6, 4)])
         rep = verify(g, TreeColoring((1,) * 8, 1), Params(1))
-        assert rep.classes == (ClassCheck(8, False, 2, 3),)
+        assert rep.classes == (ClassCheck(8, False, 2, None),)
 
     def test_edge_class_over_degree_cap(self):
         rep = verify(path(4), TreeColoring((1, 1, 2, 2), 2), Params(2, 0))
@@ -247,13 +251,46 @@ class TestClassCheckSemantics:
         g = graph_from_edges(6, [(0, 1), (1, 2), (2, 0)])
         rep = verify(g, TreeColoring((2, 2, 2, 1, 1, 1), 2), Params(2))
         assert not rep.verdict
-        assert rep.classes == (ClassCheck(3, True, 0, 0), ClassCheck(3, False, 2, 1))
+        assert rep.classes == (ClassCheck(3, True, 0, 0), ClassCheck(3, False, 2, None))
         assert rep.first_violation == "class 2 contains a cycle"
+
+
+def _count_sweeps(monkeypatch):
+    calls = []
+    monkeypatch.setattr("equitree.coloring._sweep",
+                        lambda inside, root: calls.append(root) or _sweep(inside, root))
+    return calls
+
+
+class TestCyclicClassCost:
+    """A class with a cycle fails every cap pair, so its check stops at the
+    first cyclic component: one sweep, whatever the size of the class."""
+
+    def test_cycle_class_takes_one_sweep(self, monkeypatch):
+        calls = _count_sweeps(monkeypatch)
+        rep = verify(cycle(1000), TreeColoring((1,) * 1000, 1), Params(1))
+        assert rep.first_violation == "class 1 contains a cycle"
+        assert len(calls) == 1
+
+    def test_single_class_refusal_takes_one_sweep(self, monkeypatch):
+        calls = _count_sweeps(monkeypatch)
+        with pytest.raises(PreconditionError,
+                           match="^no supported construction meets the requested "
+                                 "bounds: class 1 contains a cycle$"):
+            construct(maximal_outerplanar_random(2000, 0), Params(1))
+        assert len(calls) == 1
 
 
 def _induced(g, members):
     keep = set(members)
     return remove_vertices(g, [v for v in range(g.n) if v not in keep])[0]
+
+
+def _expected_check(h):
+    """The ClassCheck of a class inducing h, from graph.py's own checkers."""
+    forest = is_forest(h)
+    return ClassCheck(h.n, forest, max(h.degrees(), default=0),
+                      component_diameter_max(h) if forest else None)
 
 
 def test_class_checks_match_independent_graph_queries():
@@ -273,9 +310,7 @@ def test_class_checks_match_independent_graph_queries():
         rep = verify(g, coloring, Params(t))
         for c, check in enumerate(rep.classes, start=1):
             h = _induced(g, coloring.color_class(c))
-            assert check == ClassCheck(h.n, is_forest(h),
-                                       max(h.degrees(), default=0),
-                                       component_diameter_max(h))
+            assert check == _expected_check(h)
             cyclic += not check.is_forest
     assert cyclic >= 50
     assert time.monotonic() - start < 5.0
@@ -299,9 +334,7 @@ def test_small_class_checks_match_independent_graph_queries():
         rep = verify(g, coloring, Params(t))
         for c, check in enumerate(rep.classes, start=1):
             h = _induced(g, coloring.color_class(c))
-            assert check == ClassCheck(h.n, is_forest(h),
-                                       max(h.degrees(), default=0),
-                                       component_diameter_max(h))
+            assert check == _expected_check(h)
             if h.n <= 3:
                 rows.add((h.n, h.m))
     assert rows == {(0, 0), (1, 0), (2, 0), (2, 1),

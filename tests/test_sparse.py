@@ -199,6 +199,20 @@ class TestFillSequence:
         with pytest.raises(PreconditionError):
             fill_sequence(path(5), {1: 0, 2: 0}, 2)
 
+    def test_budget_exhausted(self, monkeypatch):
+        # On this G(15, 0.7) a 9-position fill backtracks until its budget
+        # runs out, the default 20,000 choices too; 200 gets there at once.
+        rng = random.Random(3)
+        n = rng.randint(8, 30)
+        p = rng.choice((0.3, 0.4, 0.5, 0.6, 0.7))
+        g = graph_from_edges(n, [(u, v) for u in range(n)
+                                 for v in range(u + 1, n) if rng.random() < p])
+        assert (n, p) == (15, 0.7)
+        monkeypatch.setattr(sparse, "_FILL_BUDGET", 200)
+        with pytest.raises(NoLowDegreeVertexError,
+                           match="^ran out of low-degree candidates"):
+            fill_sequence(g, {}, 9)
+
 
 def _reference_fill(g, pinned, t, budget=20000):
     """fill_sequence as a scan of every vertex at every position."""
@@ -495,6 +509,20 @@ def test_non_int_t_rejected(call):
 def _reference_low_partner(g, x):
     return next(w for w in range(g.n)
                 if w != x and len(g.adjacency[w] - {x}) <= 3)
+
+
+def test_reinsertion_without_a_forest_raises():
+    # Hub 0 joins 1, 2, 3; each of those joins all of 4..7, two per class.
+    # Any two of 1, 2, 3 in one class close a 4-cycle through its old pair,
+    # and every balanced assignment puts two of them together.
+    g = graph_from_edges(8, [(0, 1), (0, 2), (0, 3)]
+                         + [(a, y) for a in (1, 2, 3) for y in (4, 5, 6, 7)])
+    colors = [0, 0, 0, 0, 1, 1, 2, 2]
+    with pytest.raises(ConfigurationNotFoundError,
+                       match="no balanced re-insertion"):
+        sparse._reinsert(g, sparse._Reinsertion((0, 1, 2, 3), (2, 2, 1, 1)),
+                         colors, 2)
+    assert colors == [0, 0, 0, 0, 1, 1, 2, 2]
 
 
 def _reference_extend(g, pins, t, recurse):
