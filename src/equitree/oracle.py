@@ -20,7 +20,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .bipartite import feasible_11, feasible_inf2
 from .coloring import Params, TreeColoring, _check_params, _measure
 from .errors import PreconditionError
 from .graph import UNBOUNDED, Graph, _is_count, complete_bipartite
@@ -183,6 +182,8 @@ def cross_check_bipartite(n_max: int, q_max: int,
     """
     if not (_is_count(n_max, 1) and _is_count(q_max, 1)):
         raise PreconditionError("cross-check needs int n_max >= 1 and q_max >= 1")
+    from .bipartite import feasible_11, feasible_inf2
+
     checked = 0
     found: list[Disagreement] = []
     for n in range(1, n_max + 1):

@@ -8,13 +8,13 @@ phases:
 1. Peel: find a small reducible configuration, reserve its vertices at
    fixed positions of a deletion sequence, fill the remaining positions
    with low-degree vertices, delete the sequence and record it.  A hub
-   configuration is deleted together with some of its 2-neighbors
-   instead, to be re-inserted two per class.  All three peels first scan
-   for a vertex of degree <= 1, else a 2-vertex with a light neighbor;
-   the outerplanar peel needs no other pattern.
+   step deletes the hub and 2t-1 of its 2-neighbors instead.  All three
+   peels first scan for a vertex of degree <= 1, else a 2-vertex with a
+   light neighbor; the outerplanar peel needs no other pattern.
 2. Give the at most t vertices left distinct colors in id order.
-3. Walk the recorded steps backwards, extending the coloring one step at
-   a time.
+3. Walk the recorded steps backwards, coloring one step at a time: a
+   sequence one vertex per class, a hub step two per class, measuring
+   only the components the hub step's vertices join.
 
 Each step is one level of the paper's induction; no graph is rebuilt per
 step and nothing recurses, so the depth of the peel is not limited.
@@ -43,9 +43,9 @@ from dataclasses import dataclass
 from heapq import heappop, heappush, merge
 from itertools import permutations
 from math import gcd
-from typing import Callable, Container, Iterator, Mapping, Sequence, Union
+from typing import Callable, Container, Iterator, Mapping, Sequence
 
-from .coloring import Params, TreeColoring, _class_checks, verify
+from .coloring import Params, TreeColoring, _measure, verify
 from .errors import (
     ConfigurationNotFoundError,
     NoLowDegreeVertexError,
@@ -198,13 +198,16 @@ class _Residual:
         reads the heap without popping it: a small frontier heap holds the
         positions whose parents were visited.  The residual must not
         change while the walk runs; a caller that changes it drops the
-        walk and starts a new one.
+        walk and starts a new one.  A heap of more than 2 * size + 8
+        entries is first rebuilt, sorted, from its live ones.
         """
+        heap, deg = self.heaps[d], self.deg
+        if len(heap) > 2 * self.size + 8:
+            heap[:] = sorted({v for v in heap if deg[v] == d})
         last = self.lowest(d, d, skip)
         if last is None:
             return
         yield last
-        heap, deg = self.heaps[d], self.deg
         frontier = [(heap[0], 0)] if heap else []
         while frontier:
             v, i = heappop(frontier)
@@ -495,43 +498,36 @@ def extend_coloring(g: Graph, s: ExtensionSequence,
 # ---- hub steps --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Reinsertion:
-    """A peel step that deletes 2t vertices and re-inserts two per class."""
+class _SameColor:
+    """Each vertex's neighbors of its own color, read from colors on demand."""
 
-    removed: tuple[int, ...]
-    primer: tuple[int, ...] | None
+    def __init__(self, adjacency: Sequence[frozenset[int]], colors: list[int]) -> None:
+        self.adjacency, self.colors = adjacency, colors
 
-
-def _remove_for_reinsertion(res: _Residual, removed: list[int],
-                            primer: tuple[int, ...] | None) -> _Reinsertion:
-    for v in removed:
-        res.delete(v)
-    return _Reinsertion(tuple(removed), primer)
+    def __getitem__(self, u: int) -> list[int]:
+        colors = self.colors
+        return [w for w in self.adjacency[u] if colors[w] == colors[u]]
 
 
-def _reinsert(g: Graph, step: _Reinsertion, colors: list[int], t: int) -> None:
-    """Color the removed vertices, two per class, so that every class is a forest.
+def _reinsert(adjacency: Sequence[frozenset[int]], colors: list[int],
+              vertices: tuple[int, ...], t: int) -> None:
+    """Color the 2t vertices, two per class, so that every class is a forest.
 
-    Tries the primer assignment first, then every balanced assignment of
-    the removed vertices (each color used exactly twice) in sorted order,
-    keeping the first one that leaves every class a forest.  The colored
+    Writes each balanced assignment (each color used exactly twice) into
+    colors in sorted order, and keeps the first after which every vertex
+    lies in a tree of its class.  Every class was a forest before, so
+    only the components the vertices join are measured.  The colored
     vertices are exactly those live after the step, colored equitably, so
     two more per class keeps the coloring equitable.
     """
-    classes: list[list[int]] = [[] for _ in range(t + 1)]
-    for v, c in enumerate(colors):
-        classes[c].append(v)
-    balanced = sorted(set(permutations(sum(([c] * 2 for c in range(1, t + 1)), []))))
-    trials = [step.primer] if step.primer is not None else []
-    trials.extend(a for a in balanced if a != step.primer)
-    for assignment in trials:
-        if all(_class_checks(g, classes[c] + [v for v, a in zip(step.removed, assignment)
-                                              if a == c]).is_forest
-               for c in range(1, t + 1)):
-            for v, c in zip(step.removed, assignment):
-                colors[v] = c
+    same = _SameColor(adjacency, colors)
+    for assignment in sorted(set(permutations([*range(1, t + 1)] * 2))):
+        for v, c in zip(vertices, assignment):
+            colors[v] = c
+        if all(_measure(same, v)[1] is not None for v in vertices):
             return
+    for v in vertices:
+        colors[v] = 0
     raise ConfigurationNotFoundError(
         "no balanced re-insertion of the removed hub vertices verifies"
     )
@@ -539,27 +535,24 @@ def _reinsert(g: Graph, step: _Reinsertion, colors: list[int], t: int) -> None:
 
 # ---- the peel engine --------------------------------------------------------
 
-_Step = Union[tuple[int, ...], _Reinsertion]
 
-
-def _peel(g: Graph, t: int, level: Callable[[_Residual, int], _Step]) -> TreeColoring:
+def _peel(g: Graph, t: int,
+          level: Callable[[_Residual, int], tuple[int, ...]]) -> TreeColoring:
     """Peel g down to at most t vertices with level, then color it back up.
 
-    level takes one step on the residual: it deletes the vertices it
-    peels and returns their deletion sequence or their re-insertion.
+    level takes one step on the residual: it deletes the vertices it peels
+    and returns them.  _extend colors a step of t, one per class; only a
+    hub step deletes 2t, which _reinsert colors two per class.
     """
     res = _Residual(g)
-    steps: list[_Step] = []
+    steps: list[tuple[int, ...]] = []
     while res.size > t:
         steps.append(level(res, t))
     colors = [0] * g.n
     for c, v in enumerate((v for v, d in enumerate(res.deg) if d >= 0), start=1):
         colors[v] = c
     for step in reversed(steps):
-        if isinstance(step, _Reinsertion):
-            _reinsert(g, step, colors, t)
-        else:
-            _extend(g.adjacency, colors, step, t)
+        (_extend if len(step) == t else _reinsert)(g.adjacency, colors, step, t)
     return TreeColoring(tuple(colors), t)
 
 
@@ -575,20 +568,26 @@ def _girth5_pins(cfg: Configuration, t: int) -> dict[int, int]:
     return {1: twos[0], 2: twos[1], t: cfg["x"]}
 
 
-def _girth5_level(res: _Residual, t: int) -> _Step:
+def _girth5_level(res: _Residual, t: int) -> tuple[int, ...]:
     cfg = _find_girth5(res)
     if cfg.kind == TWO_NEIGHBOR_HUB and cfg["degree"] in (8, 9) and t == 3:
-        return _remove_for_reinsertion(res, [cfg["x"], *cfg["twos"][:5]], None)
+        hub = (cfg["x"], *cfg["twos"][:5])
+        for v in hub:
+            res.delete(v)
+        return hub
     return _fill(res, _girth5_pins(cfg, t), t)
 
 
-def _girth6_level(res: _Residual, t: int) -> _Step:
+def _girth6_level(res: _Residual, t: int) -> tuple[int, ...]:
     """One step of the two-class algorithm; t is always 2."""
     cfg = _find_girth6(res)
     if cfg.kind == TWO_NEIGHBOR_HUB:
-        return _remove_for_reinsertion(
-            res, [cfg["x"], *cfg["twos"][:3]], (2, 2, 1, 1)
-        )
+        # The first balanced assignment puts x and twos[0] in class 2.
+        twos = cfg["twos"]
+        hub = (twos[1], twos[2], cfg["x"], twos[0])
+        for v in hub:
+            res.delete(v)
+        return hub
     return _fill(res, _link_pins(res, cfg), 2)
 
 
@@ -598,7 +597,7 @@ def _link_pins(res: _Residual, cfg: Configuration) -> dict[int, int]:
     return {1: x, 2: _low_partner(res, x) if cfg.kind == LOW_VERTEX else cfg["y"]}
 
 
-def _outerplanar_level(res: _Residual, t: int) -> _Step:
+def _outerplanar_level(res: _Residual, t: int) -> tuple[int, ...]:
     return _fill(res, _link_pins(res, _find_outerplanar(res)), t)
 
 

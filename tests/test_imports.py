@@ -73,6 +73,21 @@ def test_exact_va_loads_only_bipartite_beside_the_cli_core():
     assert _loaded(script) == ("22\n", {"errors", "graph", "coloring", "bipartite"})
 
 
+def test_search_loads_only_the_oracle_beside_the_cli_core(tmp_path):
+    # The oracle needs bipartite's formulas for cross-check only.
+    graph = tmp_path / "k55.txt"
+    graph.write_text(equitree.format_edge_list(equitree.complete_bipartite(5)))
+    argv = ["search", "--graph", str(graph), "--t", "3", "--k", "1", "--d", "1"]
+    script = ("import runpy\n"
+              f"sys.argv[1:] = {argv!r}\n"
+              "try:\n"
+              "    runpy.run_module('equitree.cli', run_name='__main__', alter_sys=True)\n"
+              "except SystemExit as exc:\n"
+              "    print('exit', exc.code)\n")
+    assert _loaded(script) == ("infeasible\nexit 1\n",
+                               {"errors", "graph", "coloring", "oracle"})
+
+
 def test_every_public_name_resolves_to_its_defining_module():
     homes = {}
     for module in SUBMODULES:

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from dataclasses import dataclass
 from heapq import heappop
 from itertools import chain, permutations
 
@@ -38,7 +39,9 @@ from equitree import (
     remove_vertices,
     verify,
 )
-from equitree import sparse
+from equitree import coloring, sparse
+from equitree.coloring import _class_checks
+from equitree.graph import Graph
 from equitree.sparse import (
     Configuration,
     _girth5_level,
@@ -212,6 +215,24 @@ class TestFillSequence:
         with pytest.raises(NoLowDegreeVertexError,
                            match="^ran out of low-degree candidates"):
             fill_sequence(g, {}, 9)
+
+    def test_budget_bounds_the_heap_work(self, monkeypatch):
+        # Backtracking pushes stale heap entries; the walks rebuild a heap
+        # that outgrows its live vertices, so each choice pops a bounded
+        # number of entries (about 14.5 here, 168 without the rebuild).
+        rng = random.Random(3)
+        n = rng.randint(8, 30)
+        p = rng.choice((0.3, 0.4, 0.5, 0.6, 0.7))
+        g = graph_from_edges(n, [(u, v) for u in range(n)
+                                 for v in range(u + 1, n) if rng.random() < p])
+        monkeypatch.setattr(sparse, "_FILL_BUDGET", 2000)
+        pops = []
+        monkeypatch.setattr(sparse, "heappop",
+                            lambda heap: pops.append(1) or heappop(heap))
+        with pytest.raises(NoLowDegreeVertexError,
+                           match="^ran out of low-degree candidates"):
+            fill_sequence(g, {}, 9)
+        assert len(pops) <= 40_000
 
 
 def _reference_fill(g, pinned, t, budget=20000):
@@ -520,8 +541,7 @@ def test_reinsertion_without_a_forest_raises():
     colors = [0, 0, 0, 0, 1, 1, 2, 2]
     with pytest.raises(ConfigurationNotFoundError,
                        match="no balanced re-insertion"):
-        sparse._reinsert(g, sparse._Reinsertion((0, 1, 2, 3), (2, 2, 1, 1)),
-                         colors, 2)
+        sparse._reinsert(g.adjacency, colors, (0, 1, 2, 3), 2)
     assert colors == [0, 0, 0, 0, 1, 1, 2, 2]
 
 
@@ -715,6 +735,154 @@ class TestPeelWorkPinned:
         for t in (2, 3, 7):
             color_outerplanar(_ear_ladder(50), t)
         assert not restores
+
+
+# ---- the hub step records the plain steps replaced, kept verbatim ----------
+
+
+@dataclass(frozen=True)
+class _Reinsertion:
+    """A peel step that deletes 2t vertices and re-inserts two per class."""
+
+    removed: tuple[int, ...]
+    primer: tuple[int, ...] | None
+
+
+def _remove_for_reinsertion(res, removed, primer):
+    for v in removed:
+        res.delete(v)
+    return _Reinsertion(tuple(removed), primer)
+
+
+def _reference_reinsert(g: Graph, step: _Reinsertion, colors: list[int], t: int) -> None:
+    """Color the removed vertices, two per class, so that every class is a forest.
+
+    Tries the primer assignment first, then every balanced assignment of
+    the removed vertices (each color used exactly twice) in sorted order,
+    keeping the first one that leaves every class a forest.  The colored
+    vertices are exactly those live after the step, colored equitably, so
+    two more per class keeps the coloring equitable.
+    """
+    classes: list[list[int]] = [[] for _ in range(t + 1)]
+    for v, c in enumerate(colors):
+        classes[c].append(v)
+    balanced = sorted(set(permutations(sum(([c] * 2 for c in range(1, t + 1)), []))))
+    trials = [step.primer] if step.primer is not None else []
+    trials.extend(a for a in balanced if a != step.primer)
+    for assignment in trials:
+        if all(_class_checks(g, classes[c] + [v for v, a in zip(step.removed, assignment)
+                                              if a == c]).is_forest
+               for c in range(1, t + 1)):
+            for v, c in zip(step.removed, assignment):
+                colors[v] = c
+            return
+    raise ConfigurationNotFoundError(
+        "no balanced re-insertion of the removed hub vertices verifies"
+    )
+
+
+def _record_girth5_level(res, t):
+    cfg = sparse._find_girth5(res)
+    if cfg.kind == TWO_NEIGHBOR_HUB and cfg["degree"] in (8, 9) and t == 3:
+        return _remove_for_reinsertion(res, [cfg["x"], *cfg["twos"][:5]], None)
+    return sparse._fill(res, sparse._girth5_pins(cfg, t), t)
+
+
+def _record_girth6_level(res, t):
+    cfg = sparse._find_girth6(res)
+    if cfg.kind == TWO_NEIGHBOR_HUB:
+        return _remove_for_reinsertion(
+            res, [cfg["x"], *cfg["twos"][:3]], (2, 2, 1, 1)
+        )
+    return sparse._fill(res, sparse._link_pins(res, cfg), 2)
+
+
+def _record_peel(g, t, level, reinserted):
+    res = sparse._Residual(g)
+    steps = []
+    while res.size > t:
+        steps.append(level(res, t))
+    colors = [0] * g.n
+    for c, v in enumerate((v for v, d in enumerate(res.deg) if d >= 0), start=1):
+        colors[v] = c
+    for step in reversed(steps):
+        if isinstance(step, _Reinsertion):
+            _reference_reinsert(g, step, colors, t)
+            reinserted.append((step.primer, tuple(colors[v] for v in step.removed)))
+        else:
+            sparse._extend(g.adjacency, colors, step, t)
+    return TreeColoring(tuple(colors), t)
+
+
+def _biclique_copies(b, copies, extra, rng):
+    """Disjoint copies of K_{2,b} plus extra random edges between any vertices."""
+    n = (b + 2) * copies
+    edges = {(k * (b + 2) + i, k * (b + 2) + 2 + j)
+             for k in range(copies) for i in range(2) for j in range(b)}
+    while len(edges) < 2 * b * copies + extra:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return graph_from_edges(n, sorted(edges))
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (ConfigurationNotFoundError, NoLowDegreeVertexError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestHubStepsMatchReinsertionRecords:
+    """A hub step as a plain tuple colors what its record did.
+
+    The girth-6 record tried its primer, then the other balanced
+    assignments in sorted order; the tuple's deletion order makes the
+    primer its first sorted assignment.  So the two agree wherever the
+    primer held.  Where it failed, the record's next trial was the
+    primer's complement and the tuple's is the next in sorted order, so
+    the colorings may differ, and both must be valid.
+    """
+
+    def test_copies_of_k2b(self):
+        rng = random.Random(20)
+        colorings = diverged = 0
+        steps = []
+        for b in range(5, 10):
+            for copies in (1, 2, 5, 12):
+                for extra in (0, 1, 3, 8):
+                    g = _biclique_copies(b, copies, extra, rng)
+                    for t, level, record in ((2, _girth6_level, _record_girth6_level),
+                                             (3, _girth5_level, _record_girth5_level),
+                                             (4, _girth5_level, _record_girth5_level)):
+                        got = _outcome(lambda: _peel(g, t, level))
+                        before = len(steps)
+                        want = _outcome(lambda: _record_peel(g, t, record, steps))
+                        if all(primer in (None, chosen) for primer, chosen in steps[before:]):
+                            assert got == want, (b, copies, extra, t)
+                        else:
+                            diverged += 1
+                            assert verify(g, got, Params(t)).verdict
+                        colorings += isinstance(got, TreeColoring)
+        primers = [primer for primer, _ in steps]
+        assert primers.count(None) >= 70 and primers.count((2, 2, 1, 1)) >= 30
+        # The primer fails once here: 12 copies of K_{2,5}, 8 extra edges, t = 2.
+        assert colorings >= 120 and diverged == 1
+
+
+class TestHubStepWork:
+    """A hub step measures only the components its vertices join."""
+
+    @pytest.mark.parametrize("b, t, color", [(5, 2, color_girth6), (8, 3, color_girth5)])
+    def test_sweeps_per_vertex_do_not_grow_with_copies(self, monkeypatch, b, t, color):
+        g = _biclique_copies(b, 200, 0, random.Random(0))
+        visited = []
+        sweep = coloring._sweep
+        monkeypatch.setattr(coloring, "_sweep",
+                            lambda inside, root: visited.append(len(sweep(inside, root)[0]))
+                            or sweep(inside, root))
+        result = color(g, t)
+        assert sum(visited) <= 3 * g.n
+        assert verify(g, result, Params(t)).verdict
 
 
 # ---- the bucket scans the heaps replaced, kept verbatim as the reference ----
