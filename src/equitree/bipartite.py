@@ -92,10 +92,10 @@ def make_class_counts(n: int, q: int, *, x1: int = 0, x2: int = 0,
                       y1p: int = 0, y2p: int = 0) -> ClassCountVector:
     """Validate the counting invariants for (n, q) and build the vector.
 
-    Raises InfeasibleVectorError naming the first violated invariant:
-    nonnegativity, total class count q, or either side-consumption
-    equation.  When a = 0 the shapes that would need a-1 bulk vertices
-    must be absent.
+    Callers, realize_class_counts and odd_q_inf2_counts build through it;
+    the feasible_counts witness does not.  Raises InfeasibleVectorError for
+    the first violated invariant: a negative count, a total other than q, a
+    side consumption other than n, or an a-1 bulk shape when a = 0.
     """
     _require_instance(n, q)
     a, r = divmod(2 * n, q)
@@ -308,7 +308,7 @@ def _star_ok(size: int, k: int | float, d: int | float) -> bool:
 
 def _witness_counts(n: int, q: int, k: int | float,
                     d: int | float) -> tuple[int, ...] | None:
-    """The eight counts of the feasible_counts witness, unvalidated, or None.
+    """The eight feasible_counts witness counts, valid by construction, or None.
 
     With sx X-bulk classes, bx of them large and c = n - a*sx, both sides
     balance when X-bulk stars have bx - c more lone vertices than Y-bulk
@@ -351,15 +351,13 @@ def feasible_counts(n: int, q: int, k: int | float = UNBOUNDED,
 
     Every forest class is one of the eight ClassCountVector shapes, and a
     star shape is used only where it meets the caps, so the witness
-    realizes into an equitable (q, k, d)-tree-coloring.  Returns None when
-    there is none.
+    realizes into an equitable (q, k, d)-tree-coloring.  It is the decider's
+    vector as built, not re-checked.  Returns None when there is none.
     """
     _check_bound(k, "k")
     _check_bound(d, "d")
     counts = _witness_counts(n, q, k, d)
-    if counts is None:
-        return None
-    return make_class_counts(n, q, **dict(zip(_SHAPE_NAMES, counts)))
+    return None if counts is None else ClassCountVector(*divmod(2 * n, q), *counts)
 
 
 def feasible_11(n: int, q: int) -> bool:
@@ -414,12 +412,12 @@ def construct_knn(n: int, q: int, k: int | float,
         return even_t_coloring(n, q)
     if q > va11_upper(n) and k >= 1 and d >= 1:
         return odd_q_11_coloring(n, q)
-    counts = _witness_counts(n, q, k, d)
-    if counts is None:
+    witness = feasible_counts(n, q, k, d)
+    if witness is None:
         raise PreconditionError(
             f"K_{{{n},{n}}} has no equitable ({q},{k},{d})-tree-coloring"
         )
-    return _layout(q, ClassCountVector(*divmod(2 * n, q), *counts)._shapes())
+    return _layout(q, witness._shapes())
 
 
 def construct_knn_11(n: int, q: int) -> TreeColoring:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Any, Mapping, Sequence, Union
+from typing import Any, Collection, Mapping, Protocol, Sequence
 
 from .errors import InputFormatError, PreconditionError
 from .graph import UNBOUNDED, Graph, _is_count
@@ -118,8 +118,10 @@ _SMALL = ((ClassCheck(0, True, 0, 0),), (ClassCheck(1, True, 0, 0),),
            ClassCheck(3, True, 2, 2), ClassCheck(3, False, 2, None)))
 
 
-# A class's induced adjacency: a dict by vertex, or a list indexed by vertex.
-_Inside = Union[Mapping[int, AbstractSet[int]], Sequence[AbstractSet[int]]]
+class _Inside(Protocol):
+    """A class's induced adjacency: each vertex's neighbors in its class."""
+
+    def __getitem__(self, u: int, /) -> Collection[int]: ...
 
 
 def _sweep(inside: _Inside, root: int) -> tuple[list[int], int]:

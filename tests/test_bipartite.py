@@ -41,7 +41,7 @@ from equitree import (
     vainf2_upper,
     verify,
 )
-from equitree.bipartite import _star_ok, _threshold, _witness_counts
+from equitree.bipartite import _SHAPE_NAMES, _star_ok, _threshold, _witness_counts
 
 
 def _check_11(n, q, coloring):
@@ -628,6 +628,10 @@ class TestAgainstShapeReference:
             if witness is not None:
                 assert all(_shape_ok(x, y, k, d)
                            for count, x, y in witness._shapes() if count), (n, q)
+                # feasible_counts does not re-check its witness; the validator
+                # must accept it and rebuild the same vector.
+                assert make_class_counts(
+                    n, q, **dict(zip(_SHAPE_NAMES, witness.counts()))) == witness, (n, q)
             assert _builds(construct_knn, n, q, k, d) == expected, (n, q)
 
 
