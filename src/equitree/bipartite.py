@@ -94,15 +94,16 @@ def make_class_counts(n: int, q: int, *, x1: int = 0, x2: int = 0,
 
     Callers, realize_class_counts and odd_q_inf2_counts build through it;
     the feasible_counts witness does not.  Raises InfeasibleVectorError for
-    the first violated invariant: a negative count, a total other than q, a
-    side consumption other than n, or an a-1 bulk shape when a = 0.
+    the first violated invariant: a count that is not a nonnegative int, a
+    total other than q, a side consumption other than n, or an a-1 bulk
+    shape when a = 0.
     """
     _require_instance(n, q)
     a, r = divmod(2 * n, q)
     vec = ClassCountVector(a, r, x1, x2, x1p, x2p, y1, y2, y1p, y2p)
     for name, value in zip(_SHAPE_NAMES, vec.counts()):
-        if value < 0:
-            raise InfeasibleVectorError(f"count {name} is negative ({value})")
+        if not _is_count(value, 0):
+            raise InfeasibleVectorError(f"count {name} is negative or not an int ({value!r})")
     total = sum(vec.counts())
     if total != q:
         raise InfeasibleVectorError(f"counts sum to {total}, expected q={q}")
@@ -201,7 +202,7 @@ def solve_linear(a: int, n: int) -> list[SolutionPair]:
 
 def _pair_modulus(n: int, s: SolutionPair) -> int:
     """The unique a with a*s.x + (a+1)*s.y = n, or an error if none."""
-    if s.x < 0 or s.y < 0 or s.z == 0:
+    if not (_is_count(s.x, 0) and _is_count(s.y, 0)) or s.z == 0:
         raise PreconditionError(f"({s.x}, {s.y}) is not a usable solution pair")
     num = n - s.y
     if num <= 0 or num % s.z:
@@ -455,11 +456,14 @@ def detect_balanced_biclique(g) -> tuple[list[int], list[int]] | None:
 
 def relabel_for_sides(coloring: TreeColoring, xs: list[int],
                       ys: list[int]) -> TreeColoring:
-    """Transport a canonical K_{n,n} coloring onto arbitrary side id lists."""
+    """Transport a canonical K_{n,n} coloring onto sides that list 0..2n-1 once."""
     n = len(xs)
     if len(ys) != n or coloring.n != 2 * n:
         raise PreconditionError("side lists do not match the coloring size")
+    ids = [*xs, *ys]
+    if not (all(_is_count(v, 0) for v in ids) and sorted(ids) == list(range(2 * n))):
+        raise PreconditionError(f"side lists must hold each int id 0..{2 * n - 1} once")
     colors = [0] * (2 * n)
-    for v, c in zip([*xs, *ys], coloring.colors):
+    for v, c in zip(ids, coloring.colors):
         colors[v] = c
     return TreeColoring(tuple(colors), coloring.t)

@@ -166,12 +166,7 @@ def _cmd_verify(args) -> int:
     params, coloring = _load_certificate(args.cert)
     report = verify(g, coloring, params)
     if args.json:
-        print(json.dumps({
-            "verdict": report.verdict,
-            "equitable": report.equitable,
-            "first_violation": report.first_violation,
-            "classes": [asdict(c) for c in report.classes],
-        }))
+        print(json.dumps(asdict(report)))
     elif report.verdict:
         print("valid")
     else:
@@ -241,10 +236,7 @@ def _cmd_cross_check(args) -> int:
 
     report = cross_check_bipartite(args.nmax, args.qmax)
     if args.json:
-        print(json.dumps({
-            "checked": report.checked,
-            "disagreements": [asdict(item) for item in report.disagreements],
-        }))
+        print(json.dumps(asdict(report)))
     else:
         print(f"checked {report.checked} instances, "
               f"{len(report.disagreements)} disagreements")

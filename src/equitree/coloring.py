@@ -107,8 +107,8 @@ class VerificationReport:
 
     verdict: bool
     equitable: bool
+    first_violation: str
     classes: tuple[ClassCheck, ...]
-    first_violation: str = ""
 
 
 # The check of each class of at most three vertices, by size, then induced edges.
@@ -240,7 +240,7 @@ def verify(g: Graph, coloring: TreeColoring, params: Params) -> VerificationRepo
             continue
         verdict = False
         first = first or f"class {c} {problem}"
-    return VerificationReport(verdict, equitable, tuple(checks), first)
+    return VerificationReport(verdict, equitable, first, tuple(checks))
 
 
 # ---- certificates -----------------------------------------------------------
@@ -265,11 +265,8 @@ def coloring_from_certificate(data: Mapping[str, Any]) -> tuple[Params, TreeColo
         if key not in data:
             raise InputFormatError(f"certificate is missing the '{key}' field")
     n = data["n_vertices"]
-    t = data["t"]
     if not _is_count(n, 0):
         raise InputFormatError("'n_vertices' must be a nonnegative int")
-    if not _is_count(t, 1):
-        raise InputFormatError("'t' must be an int >= 1")
 
     def bound(key: str) -> int | float:
         raw = data[key]
@@ -286,4 +283,7 @@ def coloring_from_certificate(data: Mapping[str, Any]) -> tuple[Params, TreeColo
         raise InputFormatError(
             f"'colors' has {len(colors)} entries but 'n_vertices' is {n}"
         )
-    return Params(t, bound("k"), bound("d")), TreeColoring(tuple(colors), t)
+    k, d = bound("k"), bound("d")
+    # TreeColoring raises InputFormatError for a bad t; Params would not.
+    coloring = TreeColoring(tuple(colors), data["t"])
+    return Params(coloring.t, k, d), coloring

@@ -31,14 +31,18 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = len(self.adjacency)
-        # A neighbor that is not an int fails to compare or index.
+        # A neighbor that is not an int fails to compare or index.  A bool
+        # equals 0 or 1, so only an id outside 2..n-1 needs the bool test.
         try:
             for v, nbrs in enumerate(self.adjacency):
                 if v in nbrs:
                     raise InputFormatError(f"self-loop at vertex {v}")
                 for u in nbrs:
-                    if not 0 <= u < n:
-                        raise InputFormatError(f"neighbor {u} of vertex {v} out of range")
+                    if not 1 < u < n:
+                        if not 0 <= u < n:
+                            raise InputFormatError(f"neighbor {u} of vertex {v} out of range")
+                        if u.__class__ is bool:
+                            raise InputFormatError(f"neighbor {u} of vertex {v} is a bool")
                     if v not in self.adjacency[u]:
                         raise InputFormatError(f"asymmetric adjacency between {v} and {u}")
         except TypeError as exc:
@@ -70,7 +74,7 @@ class Graph:
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph on n vertices; rejects loops, duplicates, and bad ids."""
+    """Build a graph on n vertices; Graph rejects self-loops and bool ids."""
     if not _is_count(n, 0):
         raise PreconditionError("vertex count must be nonnegative")
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -79,20 +83,12 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputFormatError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise InputFormatError(f"self-loop at vertex {u}")
             if v in adj[u]:
                 raise InputFormatError(f"duplicate edge ({u}, {v})")
             adj[u].add(v)
             adj[v].add(u)
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"edges must be pairs of int vertex ids: {exc}") from exc
-    # A bool id equals 0 or 1, so only the neighbors of 0 and 1 can hold one:
-    # store those two ids as ints.
-    for v in range(min(n, 2)):
-        for u in adj[v]:
-            adj[u].discard(v)
-            adj[u].add(v)
     return Graph(tuple(frozenset(s) for s in adj))
 
 

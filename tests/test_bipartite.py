@@ -90,6 +90,11 @@ class TestClassCounts:
         with pytest.raises(InfeasibleVectorError, match="negative"):
             make_class_counts(65, 9, x2p=6, y1=-1, y2=4)
 
+    @pytest.mark.parametrize("value", ["1", 1.0, True])
+    def test_non_int_count_rejected(self, value):
+        with pytest.raises(InfeasibleVectorError, match="count x1"):
+            make_class_counts(3, 2, x1=value, y1=1)
+
     def test_wrong_total_rejected(self):
         with pytest.raises(InfeasibleVectorError, match="sum"):
             make_class_counts(65, 9, x2p=5, y1=3)
@@ -523,9 +528,24 @@ class TestInstanceValidation:
         (lambda: odd_q_11_coloring(7, 6), "needs odd q"),
         (lambda: two_solution_coloring(5, SolutionPair(0, 0), SolutionPair(5, 0)),
          "not a usable solution pair"),
+        (lambda: two_solution_coloring(5, SolutionPair("5", 0), SolutionPair(5, 0)),
+         "not a usable solution pair"),
+        (lambda: two_solution_coloring(5, SolutionPair(True, 2), SolutionPair(5, 0)),
+         "not a usable solution pair"),
         (lambda: relabel_for_sides(even_t_coloring(2, 2), [0], [1, 2]),
          "side lists do not match"),
-    ], ids=["odd_q_11-even-q", "two_solution-empty-pair", "relabel-unbalanced-sides"])
+        (lambda: relabel_for_sides(even_t_coloring(2, 2), [0, 5], [1, 2]),
+         "each int id 0..3 once"),
+        (lambda: relabel_for_sides(even_t_coloring(2, 2), [-1, 0], [1, 2]),
+         "each int id 0..3 once"),
+        (lambda: relabel_for_sides(even_t_coloring(2, 2), [0, 0], [1, 2]),
+         "each int id 0..3 once"),
+        (lambda: relabel_for_sides(even_t_coloring(2, 2), [0, True], [2, 3]),
+         "each int id 0..3 once"),
+    ], ids=["odd_q_11-even-q", "two_solution-empty-pair", "two_solution-str-count",
+            "two_solution-bool-count", "relabel-unbalanced-sides",
+            "relabel-id-too-large", "relabel-negative-id", "relabel-repeated-id",
+            "relabel-bool-id"])
     def test_unusable_arguments_rejected(self, call, message):
         with pytest.raises(PreconditionError, match=message):
             call()

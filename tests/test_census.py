@@ -18,6 +18,7 @@ from equitree import (
     Params,
     UNBOUNDED,
     brute_force_search,
+    complete_bipartite,
     construct,
     graph_from_edges,
     max_degree,
@@ -25,7 +26,7 @@ from equitree import (
 )
 
 CHECK_N = 6
-CAPS = ((UNBOUNDED, UNBOUNDED), (1, 1), (0, 0))
+CAPS = ((UNBOUNDED, UNBOUNDED), (1, 1), (UNBOUNDED, 2), (0, 0))
 
 
 def _cells(adj):
@@ -155,3 +156,37 @@ def test_strong_threshold_at_most_half_delta_plus_one():
             bound = -(-(max_degree(_graph(code)) + 1) // 2)
             for t in range(bound, n + 1):
                 assert table[code, t, UNBOUNDED, UNBOUNDED][0] == FEASIBLE, (code, t)
+
+
+def _feasible_ts(code, k, d):
+    """The t <= n at which the oracle finds a coloring; t = n always works."""
+    table = _census()
+    return [t for t in range(1, len(code) + 1) if table[code, t, k, d][0] == FEASIBLE]
+
+
+def _weak_and_strong(ts, n):
+    """The least feasible t, and the least t from which every t <= n is."""
+    strong = n
+    while strong - 1 in ts:
+        strong -= 1
+    return ts[0], strong
+
+
+def test_weak_and_strong_thresholds_agree_under_three_cap_pairs():
+    for n in range(1, CHECK_N + 1):
+        for code in _graphs(n):
+            for k, d in CAPS[:3]:  # every pair but (0, 0)
+                weak, strong = _weak_and_strong(_feasible_ts(code, k, d), n)
+                assert weak == strong, (code, k, d)
+
+
+def test_k33_is_the_one_graph_not_monotone_under_0_0():
+    g = complete_bipartite(3)
+    k33 = _canonical([sum(1 << u for u in g.adjacency[v]) for v in range(g.n)])
+    differ = {}
+    for n in range(1, CHECK_N + 1):
+        for code in _graphs(n):
+            ts = _feasible_ts(code, 0, 0)
+            if len(set(_weak_and_strong(ts, n))) > 1:
+                differ[code] = ts
+    assert differ == {k33: [2, 4, 5, 6]}

@@ -202,6 +202,17 @@ class TestConstructVerifyRoundTrip:
         assert report["verdict"] is True
         assert len(report["classes"]) == 2
 
+    def test_verify_json_bytes_of_a_cyclic_class(self, k33, tmp_path, capsys):
+        cert = tmp_path / "one.json"
+        cert.write_text(json.dumps({"n_vertices": 6, "t": 1, "k": None,
+                                    "d": None, "colors": [1] * 6}))
+        code, out, _ = run(capsys, "verify", "--graph", str(k33),
+                           "--cert", str(cert), "--json")
+        assert code == 1
+        assert out == ('{"verdict": false, "equitable": true, "first_violation": '
+                       '"class 1 contains a cycle", "classes": [{"size": 6, '
+                       '"is_forest": false, "max_degree": 3, "diameter": null}]}\n')
+
 
 class TestFeasibleAndExact:
     def test_feasible_with_witness(self, capsys):
@@ -330,6 +341,12 @@ class TestCrossCheckCommand:
         assert out == ("checked 4 instances, 1 disagreements\n"
                        "  n=2 q=3 variant=inf2 oracle=budget-exceeded "
                        "formula=feasible\n")
+        code, out, _ = run(capsys, "cross-check", "--nmax", "2",
+                           "--qmax", "2", "--json")
+        assert code == 1
+        assert out == ('{"checked": 4, "disagreements": [{"n": 2, "q": 3, '
+                       '"variant": "inf2", "oracle_status": "budget-exceeded", '
+                       '"formula_feasible": true}]}\n')
 
     def test_empty_grid_is_precondition_error(self, capsys):
         for nmax, qmax in (("0", "0"), ("3", "0"), ("0", "3"), ("-2", "4")):

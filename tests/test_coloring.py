@@ -377,6 +377,14 @@ class TestCertificates:
         with pytest.raises(InputFormatError):
             coloring_from_certificate(cert)
 
+    @pytest.mark.parametrize("t", [0, True, "2", 2.0, None])
+    def test_bad_t_reported_by_the_coloring(self, t):
+        cert = certificate_from_coloring(TreeColoring((1, 2, 2, 1), 2),
+                                         Params(2, 1, 1))
+        cert["t"] = t
+        with pytest.raises(InputFormatError, match=r"^t must be an int >= 1$"):
+            coloring_from_certificate(cert)
+
     def test_non_object_rejected(self):
         with pytest.raises(InputFormatError):
             coloring_from_certificate([1, 2, 3])

@@ -94,7 +94,7 @@ class TestGraphModel:
             graph_from_edges(3, [(0, 1), (1, 0)])
 
     def test_from_edges_rejects_loops_and_range(self):
-        with pytest.raises(InputFormatError):
+        with pytest.raises(InputFormatError, match="self-loop at vertex 1"):
             graph_from_edges(3, [(1, 1)])
         with pytest.raises(InputFormatError):
             graph_from_edges(3, [(0, 3)])
@@ -284,8 +284,18 @@ class TestEdgeListFormat:
         g = parse_edge_list("\np 3 1\n\n0 2\n\n")
         assert (g.n, g.m) == (3, 1)
 
-    def test_bool_ids_written_as_ints(self):
-        g = graph_from_edges(2, [(True, 0)])
+    def test_bool_ids_rejected(self):
+        # A bool id equals 0 or 1, but format_edge_list would write it as
+        # True or False, which parse_edge_list rejects.
+        with pytest.raises(InputFormatError, match="bool"):
+            graph_from_edges(2, [(True, 0)])
+        with pytest.raises(InputFormatError, match="bool"):
+            Graph((frozenset({True}), frozenset({0})))
+        with pytest.raises(InputFormatError, match="bool"):
+            Graph((frozenset({2}), frozenset(), frozenset({False})))
+        with pytest.raises(InputFormatError, match="bool"):
+            Graph((frozenset(), frozenset({2}), frozenset({True})))
+        g = graph_from_edges(2, [(1, 0)])
         text = format_edge_list(g)
         assert text.splitlines()[1:] == ["0 1"]
         assert parse_edge_list(text) == g
