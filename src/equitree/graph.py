@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -306,12 +308,47 @@ def remove_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int
 # ---- edge-list text format --------------------------------------------------
 
 
+# The layout format_edge_list writes: an optional header, then one "u v"
+# line per edge, ASCII digits one space apart, every line ending in LF.
+_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
     Optional first line ``p <n> <m>``; every other non-blank line is ``u v``
     with 0-based ids.  Duplicate edges and self-loops are rejected.
     """
+    # The common case at C speed; _parse_lines parses every other text and
+    # finds the culprit of any fault.  Without its digits, a body in the
+    # layout is one " \n" per line; json rejects an empty or zero-led id.
+    header = _HEADER.match(text)
+    body = text[header.end():] if header else text
+    lines = body.count("\n")
+    if body.translate(_DROP_DIGITS) == " \n" * lines:
+        try:
+            ids = json.loads("[" + body[:-1].replace(" ", ",").replace("\n", ",") + "]")
+            n = int(header[1]) if header else 1 + max(ids, default=-1)
+            m = int(header[2]) if header else lines
+        except ValueError:  # also a number past the int digit limit
+            pass
+        else:
+            if len(ids) == 2 * m and max(ids, default=-1) < n:
+                adj: list[list[int]] = [[] for _ in range(n)]
+                pairs = iter(ids)
+                for u, v in zip(pairs, pairs):
+                    adj[u].append(v)
+                    adj[v].append(u)
+                adjacency = tuple(map(frozenset, adj))
+                # Shorter only if some edge repeats or is a self-loop.
+                if sum(map(len, adjacency)) == len(ids):
+                    return Graph(adjacency)
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Graph:
+    """parse_edge_list for any whitespace layout, line by line."""
     header: tuple[int, int] | None = None
     raw: list[tuple[int, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):

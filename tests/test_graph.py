@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import equitree.graph as graph_module
 from equitree import (
     ExtensionSequence,
     Graph,
@@ -320,6 +321,97 @@ class TestEdgeListFormat:
     def test_malformed_inputs_rejected(self, text):
         with pytest.raises(InputFormatError):
             parse_edge_list(text)
+
+
+def _canonical_texts():
+    """Texts in format_edge_list's layout, with and without the header."""
+    graphs = [complete_bipartite(n) for n in (1, 2, 5, 12)]
+    graphs += [maximal_outerplanar_random(n, seed) for n, seed in ((3, 0), (40, 1), (150, 2))]
+    graphs += [hex_grid(3, 4), path(2), path(30), graph_from_edges(4, [(2, 3)])]
+    texts = [format_edge_list(g) for g in graphs]
+    texts += [text.split("\n", 1)[1] for text in texts]
+    return texts + ["", "p 0 0\n", "p 3 0\n", "0 1\n"]
+
+
+def _edge_lines(text):
+    """The lines, the index of the first edge line, and each edge's two ids."""
+    lines = text.split("\n")[:-1]
+    first = 1 if lines and lines[0].startswith("p") else 0
+    return lines, first, [tuple(map(int, line.split())) for line in lines[first:]]
+
+
+def _perturbations(text, rng):
+    """Variants of a canonical text that the fast path must hand to the loop."""
+    lines, first, edges = _edge_lines(text)
+    out = [text.replace("\n", "\r\n"), text[:-1], text.replace(" ", "\t"),
+           text.replace(" ", "  "), text.replace("\n", " \n"),
+           text.replace("\n", "\n ", 1), "\n" + text, text + "\n"]
+    if not edges:
+        return out + [text + "0\n", text + "0 1 2\n", text + "-1 0\n"]
+    at = rng.randrange(first, len(lines))
+    u, v = edges[at - first]
+
+    def with_line(new, index=at):
+        return "\n".join(lines[:index] + [new] + lines[index + 1:]) + "\n"
+
+    for brk in ("\x0b", "\x0c", "\u2028", "\r"):
+        out.append(with_line(lines[at] + brk + lines[at]) if len(edges) > 1
+                   else text.replace("\n", brk))
+    out += [with_line(f"0{u} {v}"), with_line(f"+{u} {v}"), with_line(f"{u} 1_0"),
+            with_line(f"{u} {chr(0x660 + v % 10)}"), with_line(f"-{u} {v}"),
+            with_line(f"{u}"), with_line(f"{u} {v} {v}"), with_line(f"{u} {v} x"),
+            with_line(f"{u} {'9' * 5000}")]
+    n = max(max(e) for e in edges) + 1
+    if first:
+        n, m = map(int, lines[0].split()[1:])
+        out += [with_line(f"{u} {n}"), with_line(f"p {n} {m + 1}", 0),
+                with_line(f"p {n} {m - 1}", 0), with_line(f"p {n}", 0),
+                with_line(f"p {n} {'9' * 5000}", 0),
+                "\n".join(lines[1:at + 1] + lines[:1] + lines[at + 1:]) + "\n"]
+    extra = (f"{u} {v}", f"{v} {u}", f"{u} {u}", f"{v} {n + 3}")
+    for line in extra:
+        grown = text + line + "\n"
+        out.append(grown)
+        if first:
+            out.append(grown.replace(f"p {n} {m}\n", f"p {n} {m + 1}\n", 1))
+    return out
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+
+
+def test_fast_parse_matches_the_line_loop():
+    # The loop is the reference: on canonical text and on every variant that
+    # the fast path must decline, parse_edge_list returns the same graph or
+    # raises the same error with the same message and line number.
+    rng = random.Random(23)
+    declined = 0
+    for text in _canonical_texts():
+        expected = graph_module._parse_lines(text)
+        assert parse_edge_list(text) == expected
+        for variant in _perturbations(text, rng):
+            outcome = _parse_outcome(graph_module._parse_lines, variant)
+            assert _parse_outcome(parse_edge_list, variant) == outcome, repr(variant[:80])
+            declined += isinstance(outcome, tuple)
+    assert declined > 100
+
+
+def test_canonical_text_never_reaches_the_line_loop(monkeypatch):
+    g = complete_bipartite(50)
+    text = format_edge_list(g)
+
+    def loop(text):
+        raise AssertionError("canonical text went through the line loop")
+
+    monkeypatch.setattr(graph_module, "_parse_lines", loop)
+    assert parse_edge_list(text) == g
+    assert parse_edge_list(text.split("\n", 1)[1]) == g
+    with pytest.raises(AssertionError, match="line loop"):
+        parse_edge_list(text.replace("\n", "\r\n"))
 
 
 # Every count, size and vertex id must be an int and not a bool; anything
