@@ -39,7 +39,10 @@ class Params:
         _check_bound(self.d, "d")
 
 
-def _check_params(params: Any) -> None:
+def _check_args(g: Any, params: Any) -> None:
+    """The argument types of every entry point that takes a graph and params."""
+    if not isinstance(g, Graph):
+        raise PreconditionError(f"graph must be a Graph, got {type(g).__name__}")
     if not isinstance(params, Params):
         raise PreconditionError(
             f"params must be a Params, got {type(params).__name__}"
@@ -57,6 +60,8 @@ class TreeColoring:
         if not _is_count(self.t, 1):
             raise InputFormatError("t must be an int >= 1")
         colors = self.colors
+        if not isinstance(colors, tuple):
+            raise InputFormatError(f"colors must be a tuple, got {type(colors).__name__}")
         # The common case at C speed; the loop below only finds the culprit.
         if not colors or (set(map(type, colors)) == {int}
                           and 1 <= min(colors) and max(colors) <= self.t):
@@ -198,7 +203,7 @@ def verify(g: Graph, coloring: TreeColoring, params: Params) -> VerificationRepo
     or the parameter block (wrong length, wrong t).  Semantic failures are
     reported in the returned VerificationReport, not raised.
     """
-    _check_params(params)
+    _check_args(g, params)
     if coloring.t != params.t:
         raise InputFormatError(
             f"coloring declares t={coloring.t} but parameters say t={params.t}"

@@ -32,11 +32,17 @@ class Graph:
     adjacency: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.adjacency)
+        adjacency = self.adjacency
+        # Frozen containers keep a validated graph valid and hashable; the
+        # type test runs at C speed, once per distinct element type.
+        if not (isinstance(adjacency, tuple)
+                and all(issubclass(kind, frozenset) for kind in set(map(type, adjacency)))):
+            raise InputFormatError("adjacency must be a tuple of frozensets")
+        n = len(adjacency)
         # A neighbor that is not an int fails to compare or index.  A bool
         # equals 0 or 1, so only an id outside 2..n-1 needs the bool test.
         try:
-            for v, nbrs in enumerate(self.adjacency):
+            for v, nbrs in enumerate(adjacency):
                 if v in nbrs:
                     raise InputFormatError(f"self-loop at vertex {v}")
                 for u in nbrs:
@@ -45,7 +51,7 @@ class Graph:
                             raise InputFormatError(f"neighbor {u} of vertex {v} out of range")
                         if u.__class__ is bool:
                             raise InputFormatError(f"neighbor {u} of vertex {v} is a bool")
-                    if v not in self.adjacency[u]:
+                    if v not in adjacency[u]:
                         raise InputFormatError(f"asymmetric adjacency between {v} and {u}")
         except TypeError as exc:
             raise InputFormatError(f"neighbors must be int vertex ids: {exc}") from exc

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .coloring import Params, TreeColoring, _check_params, _measure
+from .coloring import Params, TreeColoring, _check_args, _measure
 from .errors import PreconditionError
 from .graph import UNBOUNDED, Graph, _is_count, complete_bipartite
 
@@ -64,7 +64,7 @@ def brute_force_search(g: Graph, params: Params,
     suite uses to cross-check the pruned search on tiny graphs.  On the
     empty graph the loop never runs: feasible after 0 nodes.
     """
-    _check_params(params)
+    _check_args(g, params)
     if budget is None:
         budget = SearchBudget()
     elif not isinstance(budget, SearchBudget):

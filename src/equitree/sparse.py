@@ -425,6 +425,8 @@ def fill_sequence(g: Graph, pinned: Mapping[int, int], t: int) -> ExtensionSeque
     """
     if not _is_count(t, 1):
         raise PreconditionError("sequence length must be an int >= 1")
+    if not isinstance(pinned, Mapping):
+        raise PreconditionError(f"pinned must be a Mapping, got {type(pinned).__name__}")
     if g.n < t:
         raise NotEnoughVerticesError(
             f"graph has {g.n} vertices, sequence needs {t}"
@@ -516,22 +518,15 @@ def _reinsert(adjacency: Sequence[frozenset[int]], colors: list[int],
     Writes each balanced assignment (each color used exactly twice) into
     colors in sorted order, and keeps the first after which every vertex
     lies in a tree of its class.  Every class was a forest before, so
-    only the components the vertices join are measured, each once.  The
-    colored vertices are exactly those live after the step, colored
-    equitably, so two more per class keeps the coloring equitable.
+    only the components the vertices join are measured.  The colored
+    vertices are exactly those live after the step, colored equitably, so
+    two more per class keeps the coloring equitable.
     """
     same = _SameColor(adjacency, colors)
     for assignment in sorted(set(permutations([*range(1, t + 1)] * 2))):
         for v, c in zip(vertices, assignment):
             colors[v] = c
-        seen: set[int] = set()
-        for v in vertices:
-            if v not in seen:
-                comp, diameter = _measure(same, v)
-                if diameter is None:
-                    break
-                seen.update(comp)
-        else:
+        if all(_measure(same, v)[1] is not None for v in vertices):
             return
     for v in vertices:
         colors[v] = 0

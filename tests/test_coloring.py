@@ -76,6 +76,10 @@ class TestTreeColoring:
         with pytest.raises(InputFormatError, match="t must be"):
             TreeColoring((), 0)
 
+    def test_colors_must_be_a_tuple(self):
+        with pytest.raises(InputFormatError, match="colors must be a tuple, got list"):
+            TreeColoring([1, 2], 2)
+
     @pytest.mark.parametrize("colors, message", [
         ((1, 2, True), "vertex 2 has color True, outside 1..3"),
         ((1, 0, 2), "vertex 1 has color 0, outside 1..3"),

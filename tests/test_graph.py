@@ -90,6 +90,12 @@ class TestGraphModel:
         with pytest.raises(InputFormatError):
             Graph((frozenset({5}),))
 
+    @pytest.mark.parametrize("adjacency", [[frozenset()], (frozenset({1}), {0})],
+                             ids=["list", "set"])
+    def test_rejects_mutable_containers(self, adjacency):
+        with pytest.raises(InputFormatError, match="tuple of frozensets"):
+            Graph(adjacency)
+
     def test_from_edges_rejects_duplicates(self):
         with pytest.raises(InputFormatError):
             graph_from_edges(3, [(0, 1), (1, 0)])
@@ -436,6 +442,12 @@ def test_canonical_text_never_reaches_the_line_loop(monkeypatch):
                  id="construct-int-params"),
     pytest.param(lambda: brute_force_search(path(3), 3), PreconditionError,
                  id="brute_force_search-int-params"),
+    pytest.param(lambda: verify("x", TreeColoring((1,), 1), Params(1)),
+                 PreconditionError, id="verify-str-graph"),
+    pytest.param(lambda: construct("x", Params(1)), PreconditionError,
+                 id="construct-str-graph"),
+    pytest.param(lambda: brute_force_search("x", Params(1)), PreconditionError,
+                 id="brute_force_search-str-graph"),
     pytest.param(lambda: brute_force_search(path(3), Params(2), "x"), PreconditionError,
                  id="brute_force_search-str-budget"),
     pytest.param(lambda: cross_check_bipartite(2, 2, "x"), PreconditionError,
@@ -454,6 +466,8 @@ def test_canonical_text_never_reaches_the_line_loop(monkeypatch):
                  id="fill_sequence-bool-position"),
     pytest.param(lambda: fill_sequence(path(3), {1: True}, 2), PreconditionError,
                  id="fill_sequence-bool-vertex"),
+    pytest.param(lambda: fill_sequence(path(4), [1, 2], 2), PreconditionError,
+                 id="fill_sequence-list-pins"),
     pytest.param(lambda: solve_linear(2.5, 10), PreconditionError,
                  id="solve_linear-float-a"),
     pytest.param(lambda: solve_linear("3", 10), PreconditionError,

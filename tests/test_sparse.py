@@ -4,7 +4,7 @@ import random
 import sys
 from dataclasses import dataclass
 from heapq import heappop
-from itertools import chain, groupby, permutations
+from itertools import chain, permutations
 
 import pytest
 
@@ -543,44 +543,6 @@ def test_reinsertion_without_a_forest_raises():
                        match="no balanced re-insertion"):
         sparse._reinsert(g.adjacency, colors, (0, 1, 2, 3), 2)
     assert colors == [0, 0, 0, 0, 1, 1, 2, 2]
-
-
-def test_reinsertion_measures_each_joined_component_once(monkeypatch):
-    # Ten disjoint copies of K_{2,5} pass color_girth6's edge gate (fewer
-    # than six fail it), and their hub steps re-insert a hub with 2-neighbors
-    # of it.  In every trial assignment the measured components are disjoint
-    # and, unless one has a cycle, cover the step: one _measure call per
-    # component the step joins, not one per vertex.
-    g = graph_from_edges(70, [(7 * c + i, 7 * c + 2 + j)
-                              for c in range(10) for i in range(2) for j in range(5)])
-    step: list[int] = []
-    calls = []
-    reinsert, measure = sparse._reinsert, sparse._measure
-
-    def recording_reinsert(adjacency, colors, vertices, t):
-        step[:] = vertices
-        return reinsert(adjacency, colors, vertices, t)
-
-    def counting_measure(inside, root):
-        comp, diameter = measure(inside, root)
-        trial = (tuple(step), tuple(inside.colors[v] for v in step))
-        calls.append((trial, comp, diameter))
-        return comp, diameter
-
-    monkeypatch.setattr(sparse, "_reinsert", recording_reinsert)
-    monkeypatch.setattr(sparse, "_measure", counting_measure)
-    result = color_girth6(g, 2)
-    assert verify(g, result, Params(2)).verdict
-    one_per_vertex = 0
-    for (vertices, _), group in groupby(calls, key=lambda call: call[0]):
-        measured = list(group)
-        comps = [set(comp) for _, comp, _ in measured]
-        joined = set().union(*comps)
-        assert sum(map(len, comps)) == len(joined)
-        if all(diameter is not None for _, _, diameter in measured):
-            assert joined >= set(vertices)
-        one_per_vertex += len(vertices)
-    assert 0 < len(calls) < one_per_vertex
 
 
 def _reference_extend(g, pins, t, recurse):
