@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Any, Collection, Mapping, Protocol, Sequence
 
 from .errors import InputFormatError, PreconditionError
-from .graph import UNBOUNDED, Graph, _is_count
+from .graph import UNBOUNDED, Graph, _check_type, _is_count
 
 # The names of the methods that dispatch.construct chooses among.
 METHODS = ("auto", "girth5", "girth6", "outerplanar")
@@ -41,12 +41,8 @@ class Params:
 
 def _check_args(g: Any, params: Any) -> None:
     """The argument types of every entry point that takes a graph and params."""
-    if not isinstance(g, Graph):
-        raise PreconditionError(f"graph must be a Graph, got {type(g).__name__}")
-    if not isinstance(params, Params):
-        raise PreconditionError(
-            f"params must be a Params, got {type(params).__name__}"
-        )
+    _check_type(g, Graph, "graph")
+    _check_type(params, Params, "params")
 
 
 @dataclass(frozen=True)
@@ -204,6 +200,7 @@ def verify(g: Graph, coloring: TreeColoring, params: Params) -> VerificationRepo
     reported in the returned VerificationReport, not raised.
     """
     _check_args(g, params)
+    _check_type(coloring, TreeColoring, "coloring")
     if coloring.t != params.t:
         raise InputFormatError(
             f"coloring declares t={coloring.t} but parameters say t={params.t}"
@@ -253,6 +250,8 @@ def verify(g: Graph, coloring: TreeColoring, params: Params) -> VerificationRepo
 
 def certificate_from_coloring(coloring: TreeColoring, params: Params) -> dict[str, Any]:
     """JSON-ready certificate.  UNBOUNDED caps serialize as null."""
+    _check_type(coloring, TreeColoring, "coloring")
+    _check_type(params, Params, "params")
     return {
         "n_vertices": coloring.n,
         "t": params.t,

@@ -21,6 +21,12 @@ def _is_count(value: object, low: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
+def _check_type(value: object, kind: type, name: str) -> None:
+    """The type rule of every argument that is not a count or an id."""
+    if not isinstance(value, kind):
+        raise PreconditionError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on vertex ids 0..n-1, stored as adjacency sets.
@@ -232,6 +238,7 @@ def max_degree(g: Graph) -> int:
 
     A reference checker for tests; verify does not use it.
     """
+    _check_type(g, Graph, "graph")
     return max(g.degrees(), default=0)
 
 
@@ -298,6 +305,7 @@ def girth(g: Graph) -> int | float:
 
 def remove_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Delete a vertex set; return the reduced graph and old-id -> new-id map."""
+    _check_type(g, Graph, "graph")
     removed = set(drop)
     for v in removed:
         if not (_is_count(v, 0) and v < g.n):
@@ -394,6 +402,7 @@ def _parse_lines(text: str) -> Graph:
 
 def format_edge_list(g: Graph) -> str:
     """Serialize a graph in the edge-list format, with header line."""
+    _check_type(g, Graph, "graph")
     lines = [f"p {g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in sorted(g.edges()))
     return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .coloring import Params, TreeColoring, _check_args, _measure
 from .errors import PreconditionError
-from .graph import UNBOUNDED, Graph, _is_count, complete_bipartite
+from .graph import UNBOUNDED, Graph, _check_type, _is_count, complete_bipartite
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -67,8 +67,7 @@ def brute_force_search(g: Graph, params: Params,
     _check_args(g, params)
     if budget is None:
         budget = SearchBudget()
-    elif not isinstance(budget, SearchBudget):
-        raise PreconditionError(f"budget must be a SearchBudget, got {type(budget).__name__}")
+    _check_type(budget, SearchBudget, "budget")
     n, t, k, d = g.n, params.t, params.k, params.d
     adjacency = g.adjacency
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))

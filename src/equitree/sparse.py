@@ -19,10 +19,11 @@ phases:
 Each step is one level of the paper's induction; no graph is rebuilt per
 step and nothing recurses, so the depth of the peel is not limited.
 
-Every scan takes the lowest id that passes.  The scans read lazy
-min-heaps of vertex ids (one per degree, and one of the 2-vertices for the
-link scan) instead of sorting degree buckets or taking their minimum, so a
-step costs about the degrees it touches times a logarithm and the peel is
+Every scan takes the lowest id that passes.  The scans take their first
+candidate off lazy min-heaps of vertex ids (one per degree, and one of the
+2-vertices for the link scan) instead of taking a degree bucket's minimum,
+and sort a bucket only for a scan whose first candidate fails, so a step
+costs about the degrees it touches times a logarithm and the peel is
 near-linear.
 
 A sequence v1..vt is extendable when every v_i has at most 2i-1 neighbors
@@ -52,7 +53,7 @@ from .errors import (
     NotEnoughVerticesError,
     PreconditionError,
 )
-from .graph import UNBOUNDED, Graph, _is_count, remove_vertices
+from .graph import UNBOUNDED, Graph, _check_type, _is_count, remove_vertices
 
 # Configuration kinds, named for what they look like.  The first two are
 # the shared scan of all three peels; the outerplanar peel needs no other.
@@ -114,7 +115,7 @@ class _Residual:
     of vertex ids that holds every live vertex of degree d, plus stale
     entries (dead, or of another degree) that are dropped when they reach
     the top.  A vertex is pushed whenever its degree changes or it comes
-    back, so no bucket is ever sorted or scanned for its minimum.
+    back, so no bucket is scanned for its minimum.
     ``links`` does the same for the 2-vertices with a neighbor of degree
     <= ``light``, the link scan's threshold, but parks a 2-vertex that
     fails the test: it is pushed back only when its degree comes back to 2
@@ -194,29 +195,21 @@ class _Residual:
     def ascending(self, d: int, skip: Container[int]) -> Iterator[int]:
         """The live vertices of degree d not in skip, lowest id first.
 
-        The lowest comes from the top of heaps[d].  After it, the walk
-        reads the heap without popping it: a small frontier heap holds the
-        positions whose parents were visited.  The residual must not
-        change while the walk runs; a caller that changes it drops the
-        walk and starts a new one.  A heap of more than 2 * size + 8
-        entries is first rebuilt, sorted, from its live ones.
+        The lowest comes from the top of heaps[d]; a caller that asks for a
+        second id gets the rest from one sort of the bucket's live entries.
+        The walk may be suspended while the residual changes, as long as
+        the residual is back as it was each time the walk resumes.  A heap
+        of more than 2 * size + 8 entries is first rebuilt, sorted, from
+        its live ones.
         """
         heap, deg = self.heaps[d], self.deg
         if len(heap) > 2 * self.size + 8:
             heap[:] = sorted({v for v in heap if deg[v] == d})
-        last = self.lowest(d, d, skip)
-        if last is None:
+        first = self.lowest(d, d, skip)
+        if first is None:
             return
-        yield last
-        frontier = [(heap[0], 0)] if heap else []
-        while frontier:
-            v, i = heappop(frontier)
-            if v > last and deg[v] == d and v not in skip:
-                last = v
-                yield v
-            for j in (2 * i + 1, 2 * i + 2):
-                if j < len(heap):
-                    heappush(frontier, (heap[j], j))
+        yield first
+        yield from sorted({v for v in heap if v > first and deg[v] == d and v not in skip})
 
 
 # ---- configuration finders --------------------------------------------------
@@ -374,8 +367,8 @@ def _fill(res: _Residual, pinned: Mapping[int, int], t: int) -> tuple[int, ...]:
     A chosen vertex is deleted from the residual at once, so a vertex's
     degree there is its count of neighbors not yet chosen; backtracking
     restores it.  A restore gives back exactly the residual that the
-    position's candidates were read from, so a backtrack reads them again
-    and resumes after the one it undid, spending no budget on the re-read.
+    position's candidates were read from, so a backtrack resumes that
+    position's stream, and each candidate is read once.
 
     On the promised classes the fill never backtracks: every subgraph
     there has average degree below 4, so at each unpinned position the
@@ -383,6 +376,7 @@ def _fill(res: _Residual, pinned: Mapping[int, int], t: int) -> tuple[int, ...]:
     greedy fill that never backtracks loses colorings there.
     """
     slots = [0] * t
+    streams: list[Iterator[int]] = []  # suspended, one per position above
     budget = _FILL_BUDGET
     position = t
     options = _options(res, pinned, position)
@@ -394,11 +388,8 @@ def _fill(res: _Residual, pinned: Mapping[int, int], t: int) -> tuple[int, ...]:
                     "no assignment of low-degree vertices completes the sequence"
                 )
             position += 1
-            undone = slots[position - 1]
-            res.restore(undone)
-            options = _options(res, pinned, position)
-            while next(options) != undone:
-                pass
+            res.restore(slots[position - 1])
+            options = streams.pop()
             continue
         if position not in pinned:
             budget -= 1
@@ -411,6 +402,7 @@ def _fill(res: _Residual, pinned: Mapping[int, int], t: int) -> tuple[int, ...]:
         res.delete(v)
         if position == 1:
             return tuple(slots)
+        streams.append(options)
         position -= 1
         options = _options(res, pinned, position)
 
@@ -423,10 +415,10 @@ def fill_sequence(g: Graph, pinned: Mapping[int, int], t: int) -> ExtensionSeque
     2i-1 (at most 1 for position 1), preferring low degree and then low
     id.  Backtracks over the candidates under a fixed node budget.
     """
+    _check_type(g, Graph, "graph")
     if not _is_count(t, 1):
         raise PreconditionError("sequence length must be an int >= 1")
-    if not isinstance(pinned, Mapping):
-        raise PreconditionError(f"pinned must be a Mapping, got {type(pinned).__name__}")
+    _check_type(pinned, Mapping, "pinned")
     if g.n < t:
         raise NotEnoughVerticesError(
             f"graph has {g.n} vertices, sequence needs {t}"
@@ -618,6 +610,7 @@ def _euler_gate(g: Graph, girth: int) -> None:
 
 def color_girth5(g: Graph, t: int) -> TreeColoring:
     """Equitable t-tree-coloring of a planar graph with girth >= 5, t >= 3."""
+    _check_type(g, Graph, "graph")
     if not _is_count(t, 3):
         raise PreconditionError("color_girth5 needs an int t >= 3")
     _euler_gate(g, 5)
@@ -630,6 +623,7 @@ def color_girth6(g: Graph, t: int) -> TreeColoring:
     For t >= 3 the girth-5 machinery already covers this sparser class;
     the dedicated two-class peel handles t = 2.
     """
+    _check_type(g, Graph, "graph")
     if not _is_count(t, 2):
         raise PreconditionError("color_girth6 needs an int t >= 2")
     _euler_gate(g, 6)
@@ -645,6 +639,7 @@ def color_outerplanar(g: Graph, t: int) -> TreeColoring:
     outerplanar graph always has at least three vertices of degree at
     most 3, so the greedy fill has candidates even with two reserved.
     """
+    _check_type(g, Graph, "graph")
     if not _is_count(t, 2):
         raise PreconditionError("color_outerplanar needs an int t >= 2")
     return _peel(g, t, _outerplanar_level)

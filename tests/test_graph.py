@@ -14,6 +14,10 @@ from equitree import (
     TreeColoring,
     UNBOUNDED,
     brute_force_search,
+    certificate_from_coloring,
+    color_girth5,
+    color_girth6,
+    color_outerplanar,
     complete_bipartite,
     component_diameter_max,
     connected_components,
@@ -420,9 +424,10 @@ def test_canonical_text_never_reaches_the_line_loop(monkeypatch):
         parse_edge_list(text.replace("\n", "\r\n"))
 
 
-# Every count, size and vertex id must be an int and not a bool; anything
-# else is a typed error at the entry point, never a bare TypeError or
-# ValueError, and True is never read as 1.
+# Every count, size and vertex id must be an int and not a bool, and every
+# graph, coloring, params, budget or pin map must be of its type; anything
+# else is a typed error at the entry point, never a bare TypeError,
+# ValueError or AttributeError, and True is never read as 1.
 @pytest.mark.parametrize("call, error", [
     pytest.param(lambda: graph_from_edges(2.5, []), PreconditionError,
                  id="graph_from_edges-float-n"),
@@ -468,6 +473,24 @@ def test_canonical_text_never_reaches_the_line_loop(monkeypatch):
                  id="fill_sequence-bool-vertex"),
     pytest.param(lambda: fill_sequence(path(4), [1, 2], 2), PreconditionError,
                  id="fill_sequence-list-pins"),
+    pytest.param(lambda: color_girth5("x", 3), PreconditionError,
+                 id="color_girth5-str-graph"),
+    pytest.param(lambda: color_girth6("x", 2), PreconditionError,
+                 id="color_girth6-str-graph"),
+    pytest.param(lambda: color_outerplanar("x", 2), PreconditionError,
+                 id="color_outerplanar-str-graph"),
+    pytest.param(lambda: fill_sequence("x", {}, 2), PreconditionError,
+                 id="fill_sequence-str-graph"),
+    pytest.param(lambda: remove_vertices("x", []), PreconditionError,
+                 id="remove_vertices-str-graph"),
+    pytest.param(lambda: format_edge_list("x"), PreconditionError,
+                 id="format_edge_list-str-graph"),
+    pytest.param(lambda: max_degree("x"), PreconditionError,
+                 id="max_degree-str-graph"),
+    pytest.param(lambda: certificate_from_coloring("x", Params(1)), PreconditionError,
+                 id="certificate_from_coloring-str-coloring"),
+    pytest.param(lambda: verify(path(2), "x", Params(1)), PreconditionError,
+                 id="verify-str-coloring"),
     pytest.param(lambda: solve_linear(2.5, 10), PreconditionError,
                  id="solve_linear-float-a"),
     pytest.param(lambda: solve_linear("3", 10), PreconditionError,
@@ -480,3 +503,18 @@ def test_canonical_text_never_reaches_the_line_loop(monkeypatch):
 def test_non_int_arguments_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_wrong_types_name_the_argument_and_its_type():
+    for call, message in (
+        (lambda: color_outerplanar([], 2), "graph must be a Graph, got list"),
+        (lambda: verify(path(2), (1, 1), Params(1)),
+         "coloring must be a TreeColoring, got tuple"),
+        (lambda: certificate_from_coloring(TreeColoring((1,), 1), 1),
+         "params must be a Params, got int"),
+        (lambda: brute_force_search(path(2), Params(1), 5),
+         "budget must be a SearchBudget, got int"),
+        (lambda: fill_sequence(path(2), [0], 1), "pinned must be a Mapping, got list"),
+    ):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            call()

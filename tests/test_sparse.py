@@ -203,36 +203,58 @@ class TestFillSequence:
             fill_sequence(path(5), {1: 0, 2: 0}, 2)
 
     def test_budget_exhausted(self, monkeypatch):
-        # On this G(15, 0.7) a 9-position fill backtracks until its budget
-        # runs out, the default 20,000 choices too; 200 gets there at once.
-        rng = random.Random(3)
-        n = rng.randint(8, 30)
-        p = rng.choice((0.3, 0.4, 0.5, 0.6, 0.7))
-        g = graph_from_edges(n, [(u, v) for u in range(n)
-                                 for v in range(u + 1, n) if rng.random() < p])
-        assert (n, p) == (15, 0.7)
+        # A 9-position fill of this graph backtracks until its budget runs
+        # out, the default 20,000 choices too; 200 gets there at once.
         monkeypatch.setattr(sparse, "_FILL_BUDGET", 200)
         with pytest.raises(NoLowDegreeVertexError,
                            match="^ran out of low-degree candidates"):
-            fill_sequence(g, {}, 9)
+            fill_sequence(_budget_instance(), {}, 9)
 
     def test_budget_bounds_the_heap_work(self, monkeypatch):
         # Backtracking pushes stale heap entries; the walks rebuild a heap
         # that outgrows its live vertices, so each choice pops a bounded
-        # number of entries (about 14.5 here, 168 without the rebuild).
-        rng = random.Random(3)
-        n = rng.randint(8, 30)
-        p = rng.choice((0.3, 0.4, 0.5, 0.6, 0.7))
-        g = graph_from_edges(n, [(u, v) for u in range(n)
-                                 for v in range(u + 1, n) if rng.random() < p])
+        # number of entries (about 1.3 here, 10 without the rebuild).
         monkeypatch.setattr(sparse, "_FILL_BUDGET", 2000)
         pops = []
         monkeypatch.setattr(sparse, "heappop",
                             lambda heap: pops.append(1) or heappop(heap))
         with pytest.raises(NoLowDegreeVertexError,
                            match="^ran out of low-degree candidates"):
-            fill_sequence(g, {}, 9)
-        assert len(pops) <= 40_000
+            fill_sequence(_budget_instance(), {}, 9)
+        assert len(pops) <= 5_000
+
+    def test_budget_reads_each_candidate_once(self, monkeypatch):
+        # A backtrack resumes its position's stream instead of reading the
+        # position again, so the fill deletes every candidate it reads but
+        # the last, which the budget refuses.
+        monkeypatch.setattr(sparse, "_FILL_BUDGET", 2000)
+        read, deleted = [], []
+        options, delete = sparse._options, sparse._Residual.delete
+
+        def counted(res, pinned, position):
+            for v in options(res, pinned, position):
+                read.append(v)
+                yield v
+
+        monkeypatch.setattr(sparse, "_options", counted)
+        monkeypatch.setattr(sparse._Residual, "delete",
+                            lambda res, v: deleted.append(v) or delete(res, v))
+        with pytest.raises(NoLowDegreeVertexError,
+                           match="^ran out of low-degree candidates"):
+            fill_sequence(_budget_instance(), {}, 9)
+        assert len(read) == 2001
+        assert read[:-1] == deleted
+
+
+def _budget_instance():
+    """A seeded G(15, 0.7) whose 9-position fills only end at the budget."""
+    rng = random.Random(3)
+    n = rng.randint(8, 30)
+    p = rng.choice((0.3, 0.4, 0.5, 0.6, 0.7))
+    g = graph_from_edges(n, [(u, v) for u in range(n)
+                             for v in range(u + 1, n) if rng.random() < p])
+    assert (n, p) == (15, 0.7)
+    return g
 
 
 def _reference_fill(g, pinned, t, budget=20000):
@@ -1012,6 +1034,18 @@ _LEVELS = {
 }
 
 
+def _delete_and_restore(res, rng, v):
+    """Delete v and 12 more live vertices, pop every heap, restore all."""
+    gone = [v] + rng.sample([u for u in range(len(res.deg))
+                             if res.deg[u] >= 0 and u != v], 12)
+    for u in gone:
+        res.delete(u)
+    for k in range(len(res.heaps)):
+        res.lowest(k, k)
+    for u in reversed(gone):
+        res.restore(u)
+
+
 def _assert_same_residual(res, ref):
     live = sorted(chain.from_iterable(ref.by_degree))
     assert res.size == ref.size == len(live)
@@ -1075,8 +1109,8 @@ class TestHeapsMatchBucketScans:
                          TWO_NEIGHBOR_HUB}
 
     def test_walk_survives_changes_between_ids(self):
-        # The fill deletes each candidate and later restores it, then reads
-        # its candidates again with a new walk; heap entries move meanwhile.
+        # Deletions, pops and restores leave stale entries and move the
+        # live ones; a walk started after them still reads its bucket.
         rng = random.Random(3)
         for seed in range(20):
             g = maximal_outerplanar_random(80, seed)
@@ -1084,15 +1118,25 @@ class TestHeapsMatchBucketScans:
             for d in (2, 3, 4):
                 want = [v for v in range(g.n) if res.deg[v] == d]
                 for v in want:
-                    gone = [v] + rng.sample([u for u in range(g.n)
-                                             if res.deg[u] >= 0 and u != v], 12)
-                    for u in gone:
-                        res.delete(u)
-                    for k in range(len(res.heaps)):
-                        res.lowest(k, k)
-                    for u in reversed(gone):
-                        res.restore(u)
+                    _delete_and_restore(res, rng, v)
                 assert list(res.ascending(d, ())) == want, (seed, d)
+
+    def test_suspended_walk_resumes_in_order(self):
+        # The fill suspends each position's walk while it deletes, pops and
+        # restores below it; resumed on the residual it was read from, the
+        # walk yields the rest of its bucket in order.
+        rng = random.Random(4)
+        for seed in range(20):
+            g = maximal_outerplanar_random(80, seed)
+            res = sparse._Residual(g)
+            for d in (2, 3, 4):
+                want = [v for v in range(g.n) if res.deg[v] == d]
+                assert len(want) >= 3, (seed, d)
+                got = []
+                for v in res.ascending(d, ()):
+                    got.append(v)
+                    _delete_and_restore(res, rng, v)
+                assert got == want, (seed, d)
 
     def test_fills_that_backtrack(self, monkeypatch):
         # Peel steps never backtrack on these families, so fill random
