@@ -25,7 +25,7 @@ from math import isqrt
 
 from .coloring import TreeColoring, _check_bound
 from .errors import InfeasibleVectorError, PreconditionError
-from .graph import UNBOUNDED, _is_count
+from .graph import UNBOUNDED, Graph, _check_type, _is_count
 
 
 def _require_instance(n: int, q: int) -> None:
@@ -280,13 +280,19 @@ def odd_q_inf2_counts(n: int, q: int) -> ClassCountVector:
 
 
 def va11_upper(n: int) -> int:
-    """Upper bound 2*floor((n+1)/3) for the strong (1,1) arboricity of K_{n,n}."""
+    """Upper bound 2*floor((n+1)/3) for the strong (1,1) arboricity of K_{n,n}.
+
+    At n = 1 the formula gives 0, below the least t of 1; exact_va11(1) is 1.
+    """
     _require_instance(n, 1)
     return 2 * ((n + 1) // 3)
 
 
 def vainf2_upper(n: int) -> int:
-    """Upper bound 2*floor(floor((-1+sqrt(8n+9))/2)/2), exact integer arithmetic."""
+    """Upper bound 2*floor(floor((-1+sqrt(8n+9))/2)/2), exact integer arithmetic.
+
+    At n = 1 the formula gives 0, below the least t of 1; exact_vainf2(1) is 1.
+    """
     _require_instance(n, 1)
     return 2 * (((isqrt(8 * n + 9) - 1) // 2) // 2)
 
@@ -434,7 +440,7 @@ def construct_knn_inf2(n: int, q: int) -> TreeColoring:
 # ---- recognizing biclique inputs -------------------------------------------
 
 
-def detect_balanced_biclique(g) -> tuple[list[int], list[int]] | None:
+def detect_balanced_biclique(g: Graph) -> tuple[list[int], list[int]] | None:
     """Return the two sides of g when it is some K_{n,n}, else None.
 
     The side containing vertex 0 comes first; both sides are sorted.  g is
@@ -442,6 +448,7 @@ def detect_balanced_biclique(g) -> tuple[list[int], list[int]] | None:
     and every vertex's neighbor set is the side it is not on: ys for each
     vertex of xs, the rest, and xs for each vertex of ys.
     """
+    _check_type(g, Graph, "graph")
     total = g.n
     adjacency = g.adjacency
     if total == 0 or len(adjacency[0]) * 2 != total:

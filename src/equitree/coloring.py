@@ -192,6 +192,16 @@ def _class_checks(g: Graph, members: list[int]) -> ClassCheck:
     return ClassCheck(size, True, max_degree, diameter)
 
 
+def _check_coloring(coloring: Any, params: Any) -> None:
+    """The types of a coloring and its parameter block, and that their t agree."""
+    _check_type(coloring, TreeColoring, "coloring")
+    _check_type(params, Params, "params")
+    if coloring.t != params.t:
+        raise InputFormatError(
+            f"coloring declares t={coloring.t} but parameters say t={params.t}"
+        )
+
+
 def verify(g: Graph, coloring: TreeColoring, params: Params) -> VerificationReport:
     """Check a coloring against (t, k, d) and report the first defect found.
 
@@ -199,12 +209,8 @@ def verify(g: Graph, coloring: TreeColoring, params: Params) -> VerificationRepo
     or the parameter block (wrong length, wrong t).  Semantic failures are
     reported in the returned VerificationReport, not raised.
     """
-    _check_args(g, params)
-    _check_type(coloring, TreeColoring, "coloring")
-    if coloring.t != params.t:
-        raise InputFormatError(
-            f"coloring declares t={coloring.t} but parameters say t={params.t}"
-        )
+    _check_type(g, Graph, "graph")
+    _check_coloring(coloring, params)
     if coloring.n != g.n:
         raise InputFormatError(
             f"coloring covers {coloring.n} vertices but the graph has {g.n}"
@@ -249,9 +255,12 @@ def verify(g: Graph, coloring: TreeColoring, params: Params) -> VerificationRepo
 
 
 def certificate_from_coloring(coloring: TreeColoring, params: Params) -> dict[str, Any]:
-    """JSON-ready certificate.  UNBOUNDED caps serialize as null."""
-    _check_type(coloring, TreeColoring, "coloring")
-    _check_type(params, Params, "params")
+    """JSON-ready certificate.  UNBOUNDED caps serialize as null.
+
+    Raises InputFormatError when the coloring's t is not the parameters' t,
+    as verify does, so every certificate written is one its inverse reads.
+    """
+    _check_coloring(coloring, params)
     return {
         "n_vertices": coloring.n,
         "t": params.t,

@@ -24,7 +24,9 @@ def _is_count(value: object, low: int) -> bool:
 def _check_type(value: object, kind: type, name: str) -> None:
     """The type rule of every argument that is not a count or an id."""
     if not isinstance(value, kind):
-        raise PreconditionError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise PreconditionError(
+            f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -201,27 +203,35 @@ def maximal_outerplanar_random(n: int, seed: int) -> Graph:
 # ---- structural queries -----------------------------------------------------
 
 
+def _bfs(g: Graph, root: int) -> tuple[list[int], dict[int, int], dict[int, int]]:
+    """BFS from root: the vertices reached in BFS order, their distances and parents.
+
+    The checkers' one search, sharing no code with coloring._sweep or _measure,
+    the kernel they test.  Dicts keep it linear in root's component, not g.n.
+    """
+    order, dist, parent = [root], {root: 0}, {root: -1}
+    for u in order:
+        du = dist[u] + 1
+        for v in g.adjacency[u]:
+            if v not in dist:
+                dist[v] = du
+                parent[v] = u
+                order.append(v)
+    return order, dist, parent
+
+
 def connected_components(g: Graph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest member.
 
     A reference checker for tests; verify does not use it.
     """
-    seen = [False] * g.n
+    _check_type(g, Graph, "graph")
+    seen: set[int] = set()
     comps: list[list[int]] = []
     for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        queue = [s]
-        for u in queue:
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comp.sort()
-        comps.append(comp)
+        if s not in seen:
+            comps.append(sorted(_bfs(g, s)[0]))
+            seen.update(comps[-1])
     return comps
 
 
@@ -230,7 +240,7 @@ def is_forest(g: Graph) -> bool:
 
     A reference checker for tests; verify does not use it.
     """
-    return g.m == g.n - len(connected_components(g))
+    return len(connected_components(g)) == g.n - g.m
 
 
 def max_degree(g: Graph) -> int:
@@ -242,33 +252,13 @@ def max_degree(g: Graph) -> int:
     return max(g.degrees(), default=0)
 
 
-def _bfs_dists(g: Graph, s: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[s] = 0
-    queue = [s]
-    for u in queue:
-        du = dist[u] + 1
-        for v in g.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = du
-                queue.append(v)
-    return dist
-
-
 def component_diameter_max(g: Graph) -> int:
-    """Largest diameter over connected components (0 for the empty graph).
+    """Largest component diameter, the largest eccentricity (0 for the empty graph).
 
-    A reference checker for tests; verify does not use it.
+    A reference checker for tests, one BFS per vertex; verify does not use it.
     """
-    best = 0
-    for comp in connected_components(g):
-        if len(comp) <= 1:
-            continue
-        for s in comp:
-            ecc = max(_bfs_dists(g, s)[v] for v in comp)
-            if ecc > best:
-                best = ecc
-    return best
+    _check_type(g, Graph, "graph")
+    return max((max(_bfs(g, s)[1].values()) for s in range(g.n)), default=0)
 
 
 def girth(g: Graph) -> int | float:
@@ -278,35 +268,25 @@ def girth(g: Graph) -> int | float:
     dist(u) + dist(w) + 1 that contains a cycle no longer than that, and a
     root lying on a shortest cycle attains its exact length.
     """
+    _check_type(g, Graph, "graph")
     best: int | float = UNBOUNDED
     edge_list = list(g.edges())
     for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        queue = [root]
-        for u in queue:
-            du = dist[u] + 1
-            for v in g.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = du
-                    parent[v] = u
-                    queue.append(v)
+        _, dist, parent = _bfs(g, root)
         for u, w in edge_list:
-            if dist[u] < 0 or dist[w] < 0:
-                continue
-            if parent[u] == w or parent[w] == u:
-                continue
-            cand = dist[u] + dist[w] + 1
-            if cand < best:
-                best = cand
+            if (u in dist and parent[u] != w and parent[w] != u
+                    and dist[u] + dist[w] < best):
+                best = dist[u] + dist[w] + 1
     return best
 
 
 def remove_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Delete a vertex set; return the reduced graph and old-id -> new-id map."""
     _check_type(g, Graph, "graph")
-    removed = set(drop)
+    try:
+        removed = set(drop)
+    except TypeError as exc:
+        raise PreconditionError(f"drop must be an iterable of vertex ids: {exc}") from exc
     for v in removed:
         if not (_is_count(v, 0) and v < g.n):
             raise PreconditionError(f"vertex {v!r} out of range for removal")

@@ -84,6 +84,7 @@ class ExtensionSequence:
     vertices: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_type(self.graph, Graph, "graph")
         if not self.vertices:
             raise PreconditionError("extension sequence must be nonempty")
         members = set(self.vertices)
@@ -292,6 +293,7 @@ def find_reducible_girth5(g: Graph) -> Configuration:
     degree <= 4 and a second neighbor of degree <= 6; a vertex of degree
     i in {7, 8, 9} with at least i-1 neighbors of degree 2.
     """
+    _check_type(g, Graph, "graph")
     return _find_girth5(_Residual(g))
 
 
@@ -301,6 +303,7 @@ def find_reducible_girth6(g: Graph) -> Configuration:
     Order: a vertex of degree <= 1; a 2-vertex with a neighbor of degree
     <= 4; a 5-vertex whose neighbors are five 2-vertices.
     """
+    _check_type(g, Graph, "graph")
     return _find_girth6(_Residual(g))
 
 
@@ -315,6 +318,7 @@ def find_reducible_outerplanar(g: Graph) -> Configuration:
     1 (one neighbor outside the sequence) and y at position 2 (at most 3),
     so the richer patterns only ranked equivalent steps.
     """
+    _check_type(g, Graph, "graph")
     return _find_outerplanar(_Residual(g))
 
 
@@ -465,6 +469,8 @@ def extend_coloring(g: Graph, s: ExtensionSequence,
     is equitable, every class still induces a forest, and the sequence
     vertices end up with pairwise distinct colors.
     """
+    _check_type(s, ExtensionSequence, "sequence")
+    _check_type(inner, TreeColoring, "inner coloring")
     t = len(s.vertices)
     if inner.t != t:
         raise PreconditionError(

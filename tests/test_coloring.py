@@ -389,6 +389,19 @@ class TestCertificates:
         with pytest.raises(InputFormatError, match=r"^t must be an int >= 1$"):
             coloring_from_certificate(cert)
 
+    @pytest.mark.parametrize("coloring, t", [
+        (TreeColoring((1, 3, 2), 3), 2),
+        (TreeColoring((1, 2, 2, 1), 2), 5),
+    ])
+    def test_certificate_refuses_a_t_mismatch(self, coloring, t):
+        # verify refuses the same pair, and the certificate's inverse would
+        # reject t=2 or read five classes where the coloring has two.
+        with pytest.raises(InputFormatError,
+                           match=rf"^coloring declares t={coloring.t} but parameters say t={t}$"):
+            certificate_from_coloring(coloring, Params(t))
+        with pytest.raises(InputFormatError, match="^coloring declares"):
+            verify(graph_from_edges(coloring.n, []), coloring, Params(t))
+
     def test_non_object_rejected(self):
         with pytest.raises(InputFormatError):
             coloring_from_certificate([1, 2, 3])

@@ -24,8 +24,13 @@ from equitree import (
     construct,
     cross_check_bipartite,
     cycle,
+    detect_balanced_biclique,
     dodecahedron,
+    extend_coloring,
     fill_sequence,
+    find_reducible_girth5,
+    find_reducible_girth6,
+    find_reducible_outerplanar,
     format_edge_list,
     girth,
     graph_from_edges,
@@ -64,6 +69,18 @@ def _girth_by_edge_removal(g: Graph):
         if v in dist and dist[v] + 1 < best:
             best = dist[v] + 1
     return best
+
+
+def _all_pairs_distances(g: Graph):
+    """Independent distance oracle: Floyd-Warshall, UNBOUNDED across components."""
+    dist = [[0 if u == v else 1 if v in g.adjacency[u] else UNBOUNDED
+             for v in range(g.n)] for u in range(g.n)]
+    for k in range(g.n):
+        for i in range(g.n):
+            for j in range(g.n):
+                if dist[i][k] + dist[k][j] < dist[i][j]:
+                    dist[i][j] = dist[i][k] + dist[k][j]
+    return dist
 
 
 def _cycles_by_enumeration(g: Graph):
@@ -255,6 +272,48 @@ class TestQueries:
             assert girth(g) == expected
             if g.n <= 10:
                 assert _cycles_by_enumeration(g) == expected
+
+    def test_checkers_match_all_pairs_distances(self):
+        rng = random.Random(26)
+        disconnected = 0
+        for _ in range(200):
+            n = rng.randint(0, 12)
+            p = rng.choice((0.1, 0.2, 0.35, 0.6))
+            g = graph_from_edges(n, [(u, v) for u in range(n)
+                                     for v in range(u + 1, n) if rng.random() < p])
+            dist = _all_pairs_distances(g)
+            comps = sorted({tuple(v for v in range(n) if dist[u][v] < UNBOUNDED)
+                            for u in range(n)})
+            disconnected += len(comps) > 1
+            assert connected_components(g) == [list(c) for c in comps]
+            # A forest is a graph where no edge lies on a cycle.
+            assert is_forest(g) == (_girth_by_edge_removal(g) == UNBOUNDED)
+            assert component_diameter_max(g) == max(
+                (d for row in dist for d in row if d < UNBOUNDED), default=0)
+        assert disconnected > 50
+
+    def test_checkers_run_one_bfs_per_source_or_component(self, monkeypatch):
+        roots = []
+        real = graph_module._bfs
+
+        def counting(g, root):
+            roots.append(root)
+            return real(g, root)
+
+        monkeypatch.setattr(graph_module, "_bfs", counting)
+        # Components {0, 1, 2} (a triangle), {3}, {4, 5} and {6, 7, 8}.
+        g = graph_from_edges(9, [(0, 1), (1, 2), (2, 0), (4, 5), (6, 7), (7, 8)])
+        for checker, expected in ((component_diameter_max, list(range(9))),
+                                  (girth, list(range(9))),
+                                  (connected_components, [0, 3, 4, 6]),
+                                  (is_forest, [0, 3, 4, 6])):
+            roots.clear()
+            checker(g)
+            assert roots == expected, checker.__name__
+
+    def test_diameter_of_a_long_path(self):
+        # One BFS per source: quadratic, not one BFS per pair of vertices.
+        assert component_diameter_max(path(2000)) == 1999
 
     def test_remove_vertices_basic(self):
         g = cycle(6)
@@ -487,6 +546,28 @@ def test_canonical_text_never_reaches_the_line_loop(monkeypatch):
                  id="format_edge_list-str-graph"),
     pytest.param(lambda: max_degree("x"), PreconditionError,
                  id="max_degree-str-graph"),
+    pytest.param(lambda: is_forest("x"), PreconditionError, id="is_forest-str-graph"),
+    pytest.param(lambda: connected_components("x"), PreconditionError,
+                 id="connected_components-str-graph"),
+    pytest.param(lambda: component_diameter_max("x"), PreconditionError,
+                 id="component_diameter_max-str-graph"),
+    pytest.param(lambda: girth("x"), PreconditionError, id="girth-str-graph"),
+    pytest.param(lambda: find_reducible_girth5("x"), PreconditionError,
+                 id="find_reducible_girth5-str-graph"),
+    pytest.param(lambda: find_reducible_girth6("x"), PreconditionError,
+                 id="find_reducible_girth6-str-graph"),
+    pytest.param(lambda: find_reducible_outerplanar("x"), PreconditionError,
+                 id="find_reducible_outerplanar-str-graph"),
+    pytest.param(lambda: ExtensionSequence("x", (0,)), PreconditionError,
+                 id="ExtensionSequence-str-graph"),
+    pytest.param(lambda: extend_coloring(path(3), "x", TreeColoring((1, 1), 1)),
+                 PreconditionError, id="extend_coloring-str-sequence"),
+    pytest.param(lambda: extend_coloring(path(3), ExtensionSequence(path(3), (0,)), "x"),
+                 PreconditionError, id="extend_coloring-str-inner"),
+    pytest.param(lambda: detect_balanced_biclique("x"), PreconditionError,
+                 id="detect_balanced_biclique-str-graph"),
+    pytest.param(lambda: remove_vertices(path(3), 5), PreconditionError,
+                 id="remove_vertices-int-drop"),
     pytest.param(lambda: certificate_from_coloring("x", Params(1)), PreconditionError,
                  id="certificate_from_coloring-str-coloring"),
     pytest.param(lambda: verify(path(2), "x", Params(1)), PreconditionError,
@@ -515,6 +596,8 @@ def test_wrong_types_name_the_argument_and_its_type():
         (lambda: brute_force_search(path(2), Params(1), 5),
          "budget must be a SearchBudget, got int"),
         (lambda: fill_sequence(path(2), [0], 1), "pinned must be a Mapping, got list"),
+        (lambda: extend_coloring(path(2), "x", TreeColoring((1,), 1)),
+         "sequence must be an ExtensionSequence, got str"),
     ):
         with pytest.raises(PreconditionError, match=f"^{message}$"):
             call()
