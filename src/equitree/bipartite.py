@@ -123,6 +123,7 @@ def make_class_counts(n: int, q: int, *, x1: int = 0, x2: int = 0,
 
 def realize_class_counts(n: int, q: int, ccv: ClassCountVector) -> TreeColoring:
     """Materialize a class-count vector on K_{n,n}, shapes in field order."""
+    _check_type(ccv, ClassCountVector, "ccv")
     vec = make_class_counts(n, q, **dict(zip(_SHAPE_NAMES, ccv.counts())))
     return _layout(q, vec._shapes())
 
@@ -220,6 +221,8 @@ def two_solution_coloring(n: int, s1: SolutionPair,
     classes are independent sets, so the coloring is valid for any caps.
     """
     _require_instance(n, 1)
+    _check_type(s1, SolutionPair, "s1")
+    _check_type(s2, SolutionPair, "s2")
     a1 = _pair_modulus(n, s1)
     a2 = _pair_modulus(n, s2)
     if a1 != a2:
@@ -464,6 +467,7 @@ def detect_balanced_biclique(g: Graph) -> tuple[list[int], list[int]] | None:
 def relabel_for_sides(coloring: TreeColoring, xs: list[int],
                       ys: list[int]) -> TreeColoring:
     """Transport a canonical K_{n,n} coloring onto sides that list 0..2n-1 once."""
+    _check_type(coloring, TreeColoring, "coloring")
     n = len(xs)
     if len(ys) != n or coloring.n != 2 * n:
         raise PreconditionError("side lists do not match the coloring size")

@@ -128,24 +128,28 @@ def _print_coloring(args, g: Graph, coloring: TreeColoring, payload) -> None:
         sys.stdout.write(text)
 
 
+def _answer(args, payload, text, ok=True) -> int:
+    """Print payload as JSON under --json and text otherwise; exit 0 on a
+    positive answer and 1 on a negative one."""
+    print(json.dumps(payload) if args.json else text)
+    return EXIT_OK if ok else EXIT_NEGATIVE
+
+
+# The gen families, in --family's order: each builds a graph from (n, seed).
+_FAMILIES = {
+    "knn": lambda n, seed: complete_bipartite(n),
+    "cycle": lambda n, seed: cycle(n),
+    "path": lambda n, seed: path(n),
+    "dodecahedron": lambda n, seed: dodecahedron(),
+    "hexgrid": lambda n, seed: hex_grid(n, n),
+    "outerplanar": maximal_outerplanar_random,
+}
+
+
 def _cmd_gen(args) -> int:
-    if args.family == "dodecahedron":
-        g = dodecahedron()
-    else:
-        if args.n is None:
-            raise PreconditionError(
-                f"--n is required for family {args.family!r}"
-            )
-        if args.family == "knn":
-            g = complete_bipartite(args.n)
-        elif args.family == "cycle":
-            g = cycle(args.n)
-        elif args.family == "path":
-            g = path(args.n)
-        elif args.family == "hexgrid":
-            g = hex_grid(args.n, args.n)
-        else:
-            g = maximal_outerplanar_random(args.n, args.seed)
+    if args.n is None and args.family != "dodecahedron":
+        raise PreconditionError(f"--n is required for family {args.family!r}")
+    g = _FAMILIES[args.family](args.n, args.seed)
     sys.stdout.write(format_edge_list(g))
     return EXIT_OK
 
@@ -165,13 +169,8 @@ def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     params, coloring = _load_certificate(args.cert)
     report = verify(g, coloring, params)
-    if args.json:
-        print(json.dumps(asdict(report)))
-    elif report.verdict:
-        print("valid")
-    else:
-        print(f"invalid: {report.first_violation}")
-    return EXIT_OK if report.verdict else EXIT_NEGATIVE
+    text = "valid" if report.verdict else f"invalid: {report.first_violation}"
+    return _answer(args, asdict(report), text, report.verdict)
 
 
 def _cmd_feasible(args) -> int:
@@ -183,17 +182,11 @@ def _cmd_feasible(args) -> int:
     else:
         witness = feasible_inf2(args.knn, args.q)
         ok = witness is not None
-    if args.json:
-        payload = {
-            "feasible": ok,
-            "witness": asdict(witness) if witness else None,
-        }
-        print(json.dumps(payload))
-    else:
-        print("feasible" if ok else "infeasible")
-        if witness is not None:
-            print(json.dumps(asdict(witness)))
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    payload = {"feasible": ok, "witness": asdict(witness) if witness else None}
+    text = "feasible" if ok else "infeasible"
+    if witness is not None:
+        text += "\n" + json.dumps(payload["witness"])
+    return _answer(args, payload, text, ok)
 
 
 def _cmd_exact_va(args) -> int:
@@ -201,11 +194,7 @@ def _cmd_exact_va(args) -> int:
 
     fn = exact_va11 if args.variant == "11" else exact_vainf2
     value = fn(args.knn)
-    if args.json:
-        print(json.dumps({"value": value}))
-    else:
-        print(value)
-    return EXIT_OK
+    return _answer(args, {"value": value}, value)
 
 
 def _cmd_search(args) -> int:
@@ -224,8 +213,8 @@ def _cmd_search(args) -> int:
         "certificate": certificate,
     }
     if certificate is None:
-        print(json.dumps(report) if args.json else result.status)
-        return EXIT_BUDGET if result.status == BUDGET_EXCEEDED else EXIT_NEGATIVE
+        code = _answer(args, report, result.status, ok=False)
+        return EXIT_BUDGET if result.status == BUDGET_EXCEEDED else code
     _print_coloring(args, g, result.coloring,
                     report if args.json else certificate)
     return EXIT_OK
@@ -235,16 +224,13 @@ def _cmd_cross_check(args) -> int:
     from .oracle import cross_check_bipartite
 
     report = cross_check_bipartite(args.nmax, args.qmax)
-    if args.json:
-        print(json.dumps(asdict(report)))
-    else:
-        print(f"checked {report.checked} instances, "
-              f"{len(report.disagreements)} disagreements")
-        for item in report.disagreements:
-            print(f"  n={item.n} q={item.q} variant={item.variant} "
-                  f"oracle={item.oracle_status} "
-                  f"formula={'feasible' if item.formula_feasible else 'infeasible'}")
-    return EXIT_OK if report.clean else EXIT_NEGATIVE
+    lines = [f"checked {report.checked} instances, "
+             f"{len(report.disagreements)} disagreements"]
+    lines += [f"  n={item.n} q={item.q} variant={item.variant} "
+              f"oracle={item.oracle_status} "
+              f"formula={'feasible' if item.formula_feasible else 'infeasible'}"
+              for item in report.disagreements]
+    return _answer(args, asdict(report), "\n".join(lines), report.clean)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -255,11 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a named graph family")
-    gen.add_argument(
-        "--family", required=True,
-        choices=["knn", "cycle", "path", "dodecahedron", "hexgrid",
-                 "outerplanar"],
-    )
+    gen.add_argument("--family", required=True, choices=list(_FAMILIES))
     gen.add_argument("--n", type=int)
     gen.add_argument("--seed", type=int, default=0)
     gen.set_defaults(func=_cmd_gen)

@@ -85,6 +85,7 @@ class ExtensionSequence:
 
     def __post_init__(self) -> None:
         _check_type(self.graph, Graph, "graph")
+        _check_type(self.vertices, tuple, "vertices")
         if not self.vertices:
             raise PreconditionError("extension sequence must be nonempty")
         members = set(self.vertices)

@@ -355,10 +355,15 @@ class TestExactThresholds:
             assert s2 == 1 or feasible_inf2(n, s2 - 1) is None
 
     def test_thresholds_below_upper_bounds(self):
-        for n in range(1, 80):
+        for n in range(1, 301):
             assert exact_va11(n) <= max(1, va11_upper(n))
             assert exact_vainf2(n) <= max(1, vainf2_upper(n))
             assert exact_vainf2(n) <= exact_va11(n)
+
+    def test_va11_upper_is_sharp_at_2_mod_3(self):
+        # The paper's bound 2*floor((n+1)/3) is attained for n = 2 (mod 3).
+        for n in range(2, 301, 3):
+            assert exact_va11(n) == va11_upper(n), n
 
 
 class TestConstructDrivers:

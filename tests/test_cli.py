@@ -5,6 +5,7 @@ import io
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -449,6 +450,139 @@ class TestErrorPaths:
         assert err == ("internal error: RecursionError: "
                        "maximum recursion depth exceeded\n")
 
+
+
+# Inputs of the golden table, written to its working directory.
+_GOLDEN_FILES = {
+    "k33.txt": "p 6 9\n0 3\n0 4\n0 5\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n",
+    "c5.txt": "p 5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n",
+    "p4.txt": "p 4 3\n0 1\n1 2\n2 3\n",
+    "sides.json": '{"n_vertices": 6, "t": 2, "k": null, "d": null, '
+                  '"colors": [1, 1, 1, 2, 2, 2]}',
+    "one.json": '{"n_vertices": 6, "t": 1, "k": null, "d": null, '
+                '"colors": [1, 1, 1, 1, 1, 1]}',
+}
+
+_WITNESS_65_9 = ('{"a": 14, "r": 4, "x1": 0, "x2": 0, "x1p": 0, "x2p": 5, '
+                 '"y1": 4, "y2": 0, "y1p": 0, "y2p": 0}')
+_GEN_USAGE = ("usage: equitree gen [-h] --family\n"
+              "                    {knn,cycle,path,dodecahedron,hexgrid,"
+              "outerplanar} [--n N]\n"
+              "                    [--seed SEED]\n")
+# argparse's own help and error text, as CPython 3.10 and 3.11 print it.
+_ARGPARSE = pytest.mark.skipif(
+    sys.version_info[:2] not in ((3, 10), (3, 11)),
+    reason="argparse text differs between CPython versions")
+
+# (argv, exit code, stdout, stderr): every byte the CLI writes for each kind
+# of answer, in text mode and under --json.
+_GOLDEN = [
+    ("gen --family knn --n 3", 0,
+     "p 6 9\n0 3\n0 4\n0 5\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n", ""),
+    ("gen --family cycle --n 5", 0, "p 5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n", ""),
+    ("gen --family path --n 4", 0, "p 4 3\n0 1\n1 2\n2 3\n", ""),
+    ("gen --family dodecahedron", 0,
+     "p 20 30\n0 1\n0 10\n0 19\n1 2\n1 8\n2 3\n2 6\n3 4\n3 19\n4 5\n4 17\n"
+     "5 6\n5 15\n6 7\n7 8\n7 14\n8 9\n9 10\n9 13\n10 11\n11 12\n11 18\n"
+     "12 13\n12 16\n13 14\n14 15\n15 16\n16 17\n17 18\n18 19\n", ""),
+    ("gen --family hexgrid --n 1", 0,
+     "p 6 6\n0 1\n0 3\n1 2\n2 5\n3 4\n4 5\n", ""),
+    ("gen --family outerplanar --n 6 --seed 3", 0,
+     "p 6 9\n0 1\n0 2\n0 5\n1 2\n2 3\n2 5\n3 4\n3 5\n4 5\n", ""),
+    ("gen --family cycle", 65, "",
+     "error: --n is required for family 'cycle'\n"),
+    pytest.param(
+        "gen --family wheel --n 5", 2, "",
+        _GEN_USAGE + "equitree gen: error: argument --family: invalid "
+        "choice: 'wheel' (choose from 'knn', 'cycle', 'path', "
+        "'dodecahedron', 'hexgrid', 'outerplanar')\n", marks=_ARGPARSE),
+    ("verify --graph k33.txt --cert sides.json", 0, "valid\n", ""),
+    ("verify --graph k33.txt --cert sides.json --json", 0,
+     '{"verdict": true, "equitable": true, "first_violation": "", '
+     '"classes": [{"size": 3, "is_forest": true, "max_degree": 0, '
+     '"diameter": 0}, {"size": 3, "is_forest": true, "max_degree": 0, '
+     '"diameter": 0}]}\n', ""),
+    ("verify --graph k33.txt --cert one.json", 1,
+     "invalid: class 1 contains a cycle\n", ""),
+    ("verify --graph k33.txt --cert one.json --json", 1,
+     '{"verdict": false, "equitable": true, "first_violation": "class 1 '
+     'contains a cycle", "classes": [{"size": 6, "is_forest": false, '
+     '"max_degree": 3, "diameter": null}]}\n', ""),
+    ("feasible --variant 11 --knn 43 --q 22", 0, "feasible\n", ""),
+    ("feasible --variant 11 --knn 43 --q 22 --json", 0,
+     '{"feasible": true, "witness": null}\n', ""),
+    ("feasible --variant 11 --knn 43 --q 21", 1, "infeasible\n", ""),
+    ("feasible --variant 11 --knn 43 --q 21 --json", 1,
+     '{"feasible": false, "witness": null}\n', ""),
+    ("feasible --variant inf2 --knn 65 --q 9", 0,
+     f"feasible\n{_WITNESS_65_9}\n", ""),
+    ("feasible --variant inf2 --knn 65 --q 9 --json", 0,
+     f'{{"feasible": true, "witness": {_WITNESS_65_9}}}\n', ""),
+    ("feasible --variant inf2 --knn 65 --q 7", 1, "infeasible\n", ""),
+    ("feasible --variant inf2 --knn 65 --q 7 --json", 1,
+     '{"feasible": false, "witness": null}\n', ""),
+    ("exact-va --variant 11 --knn 43", 0, "22\n", ""),
+    ("exact-va --variant 11 --knn 43 --json", 0, '{"value": 22}\n', ""),
+    ("exact-va --variant inf2 --knn 65", 0, "8\n", ""),
+    ("exact-va --variant inf2 --knn 65 --json", 0, '{"value": 8}\n', ""),
+    ("search --graph c5.txt --t 1", 1, "infeasible\n", ""),
+    ("search --graph c5.txt --t 1 --json", 1,
+     '{"status": "infeasible", "nodes": 5, "certificate": null}\n', ""),
+    ("search --graph k33.txt --t 3 --k 1 --d 1 --max-nodes 2", 2,
+     "budget-exceeded\n", ""),
+    ("search --graph k33.txt --t 3 --k 1 --d 1 --max-nodes 2 --json", 2,
+     '{"status": "budget-exceeded", "nodes": 3, "certificate": null}\n', ""),
+    ("search --graph p4.txt --t 2", 0,
+     '{"n_vertices": 4, "t": 2, "k": null, "d": null, '
+     '"colors": [2, 1, 1, 2]}\n', ""),
+    ("search --graph p4.txt --t 2 --json", 0,
+     '{"status": "feasible", "nodes": 4, "certificate": {"n_vertices": 4, '
+     '"t": 2, "k": null, "d": null, "colors": [2, 1, 1, 2]}}\n', ""),
+    ("cross-check --nmax 2 --qmax 4", 0,
+     "checked 16 instances, 0 disagreements\n", ""),
+    ("cross-check --nmax 2 --qmax 4 --json", 0,
+     '{"checked": 16, "disagreements": []}\n', ""),
+    pytest.param(
+        "--help", 0,
+        "usage: equitree [-h]\n"
+        "                {gen,construct,verify,feasible,exact-va,search,"
+        "cross-check}\n"
+        "                ...\n\n"
+        "Construct, verify, and decide equitable tree-colorings.\n\n"
+        "positional arguments:\n"
+        "  {gen,construct,verify,feasible,exact-va,search,cross-check}\n"
+        "    gen                 generate a named graph family\n"
+        "    construct           build a coloring certificate\n"
+        "    verify              check a certificate against a graph\n"
+        "    feasible            feasibility for K_{n,n}\n"
+        "    exact-va            exact strong threshold for K_{n,n}\n"
+        "    search              exhaustive search on a small graph\n"
+        "    cross-check         compare formulas against the oracle\n\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n", "",
+        marks=_ARGPARSE),
+    pytest.param(
+        "gen --help", 0,
+        _GEN_USAGE + "\noptions:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --family {knn,cycle,path,dodecahedron,hexgrid,outerplanar}\n"
+        "  --n N\n"
+        "  --seed SEED\n", "", marks=_ARGPARSE),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _GOLDEN,
+                         ids=[getattr(row, "values", row)[0] for row in _GOLDEN])
+def test_golden_bytes(argv, code, out, err, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, text in _GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    try:
+        got = main(argv.split())
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, *capsys.readouterr()) == (code, out, err)
 
 def _readme_blocks():
     """README's sh blocks in order, each a list of ``(argv, redirect

@@ -40,8 +40,11 @@ from equitree import (
     maximal_outerplanar_random,
     parse_edge_list,
     path,
+    realize_class_counts,
+    relabel_for_sides,
     remove_vertices,
     solve_linear,
+    two_solution_coloring,
     verify,
 )
 
@@ -568,6 +571,16 @@ def test_canonical_text_never_reaches_the_line_loop(monkeypatch):
                  id="detect_balanced_biclique-str-graph"),
     pytest.param(lambda: remove_vertices(path(3), 5), PreconditionError,
                  id="remove_vertices-int-drop"),
+    pytest.param(lambda: relabel_for_sides("x", [0], [1]), PreconditionError,
+                 id="relabel_for_sides-str-coloring"),
+    pytest.param(lambda: realize_class_counts(3, 2, "x"), PreconditionError,
+                 id="realize_class_counts-str-ccv"),
+    pytest.param(lambda: two_solution_coloring(3, "a", "b"), PreconditionError,
+                 id="two_solution_coloring-str-pairs"),
+    pytest.param(lambda: ExtensionSequence(path(3), 5), PreconditionError,
+                 id="ExtensionSequence-int-vertices"),
+    pytest.param(lambda: ExtensionSequence(path(3), [0]), PreconditionError,
+                 id="ExtensionSequence-list-vertices"),
     pytest.param(lambda: certificate_from_coloring("x", Params(1)), PreconditionError,
                  id="certificate_from_coloring-str-coloring"),
     pytest.param(lambda: verify(path(2), "x", Params(1)), PreconditionError,
