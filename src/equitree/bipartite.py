@@ -468,6 +468,8 @@ def relabel_for_sides(coloring: TreeColoring, xs: list[int],
                       ys: list[int]) -> TreeColoring:
     """Transport a canonical K_{n,n} coloring onto sides that list 0..2n-1 once."""
     _check_type(coloring, TreeColoring, "coloring")
+    _check_type(xs, list, "xs")
+    _check_type(ys, list, "ys")
     n = len(xs)
     if len(ys) != n or coloring.n != 2 * n:
         raise PreconditionError("side lists do not match the coloring size")

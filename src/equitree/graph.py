@@ -181,6 +181,7 @@ def maximal_outerplanar_random(n: int, seed: int) -> Graph:
     """
     if not _is_count(n, 1):
         raise PreconditionError("maximal_outerplanar_random needs an int n >= 1")
+    _check_type(seed, int, "seed")
     rng = random.Random(seed)
     edges = [(i, i + 1) for i in range(n - 1)]
     if n >= 3:
@@ -314,6 +315,7 @@ def parse_edge_list(text: str) -> Graph:
     Optional first line ``p <n> <m>``; every other non-blank line is ``u v``
     with 0-based ids.  Duplicate edges and self-loops are rejected.
     """
+    _check_type(text, str, "text")
     # The common case at C speed; _parse_lines parses every other text and
     # finds the culprit of any fault.  Without its digits, a body in the
     # layout is one " \n" per line; json rejects an empty or zero-led id.

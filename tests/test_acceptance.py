@@ -1,4 +1,5 @@
-"""Acceptance gate: the eleven headline properties with their runtime caps.
+"""Acceptance gate: the eleven headline properties with their runtime caps,
+and the file round trip of criterion 11's outerplanar graph.
 
 Each test pins exact expected values where the result is a number, and
 otherwise checks the full property (construct then verify, or oracle
@@ -6,6 +7,7 @@ agreement).  Runtime limits are asserted with a wall clock so a
 regression in algorithmic complexity fails loudly.
 """
 
+import json
 import random
 import time
 
@@ -16,10 +18,13 @@ from equitree import (
     TreeColoring,
     UNBOUNDED,
     brute_force_search,
+    certificate_from_coloring,
     color_girth5,
     color_girth6,
     color_outerplanar,
+    coloring_from_certificate,
     complete_bipartite,
+    construct,
     construct_knn_11,
     construct_knn_inf2,
     cross_check_bipartite,
@@ -29,9 +34,11 @@ from equitree import (
     extend_coloring,
     feasible_11,
     feasible_inf2,
+    format_edge_list,
     graph_from_edges,
     hex_grid,
     maximal_outerplanar_random,
+    parse_edge_list,
     path,
     realize_class_counts,
     solve_linear,
@@ -165,6 +172,21 @@ def test_criterion_11_sparse_peel_at_scale():
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     print(f"criterion 11: PASS ({elapsed:.1f}s)")
+
+
+def test_outerplanar_round_trip_at_scale():
+    # What `equitree gen`, `construct` and `verify` do with a 10^5-vertex
+    # maximal outerplanar graph at t = 2, in process: the edge list and the
+    # JSON certificate each read back to what was written, and verify
+    # accepts what was read.
+    g, params = maximal_outerplanar_random(100_000, 0), Params(2)
+    graph = parse_edge_list(format_edge_list(g))
+    assert graph == g
+    coloring = construct(graph, params)
+    text = json.dumps(certificate_from_coloring(coloring, params))
+    assert coloring_from_certificate(json.loads(text)) == (params, coloring)
+    rep = verify(graph, coloring, params)
+    assert rep.verdict, rep.first_violation
 
 
 def _random_forest_edges(rng, n):

@@ -131,6 +131,25 @@ def test_finite_caps_on_non_biclique_raise():
             construct(dodecahedron(), params)
 
 
+def test_finite_caps_refused_in_full_on_a_regular_non_biclique():
+    # K_{30,30} under shuffled ids is recognized.  With its edges x0y0 and
+    # x1y1 swapped for x0x1 and y0y1 every degree stays 30, but a triangle
+    # appears, so the same ids and caps get the refusal, word for word.
+    n, params = 30, Params(21, 1, 1)
+    ids = list(range(2 * n))
+    random.Random(0).shuffle(ids)
+    plain = [(x, n + y) for x in range(n) for y in range(n)]
+    swapped = [e for e in plain if e not in ((0, n), (1, n + 1))] + [(0, 1), (n, n + 1)]
+    g, h = (graph_from_edges(2 * n, [(ids[u], ids[v]) for u, v in edges])
+            for edges in (plain, swapped))
+    _assert_valid(g, construct(g, params), params)
+    assert set(h.degrees()) == {n}
+    message = ("finite degree or diameter caps are only supported for "
+               "balanced complete bipartite inputs")
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        construct(h, params)
+
+
 def test_auto_two_classes_falls_back_to_outerplanar():
     g = maximal_outerplanar_random(15, 4)
     with pytest.raises(PreconditionError):

@@ -121,7 +121,7 @@ class TestGraphModel:
             Graph(adjacency)
 
     def test_from_edges_rejects_duplicates(self):
-        with pytest.raises(InputFormatError):
+        with pytest.raises(InputFormatError, match=r"^duplicate edge \(1, 0\)$"):
             graph_from_edges(3, [(0, 1), (1, 0)])
 
     def test_from_edges_rejects_loops_and_range(self):
@@ -573,6 +573,12 @@ def test_canonical_text_never_reaches_the_line_loop(monkeypatch):
                  id="remove_vertices-int-drop"),
     pytest.param(lambda: relabel_for_sides("x", [0], [1]), PreconditionError,
                  id="relabel_for_sides-str-coloring"),
+    pytest.param(lambda: relabel_for_sides(TreeColoring((1, 1), 1), 5, [1]),
+                 PreconditionError, id="relabel_for_sides-int-xs"),
+    pytest.param(lambda: parse_edge_list(b"0 1\n"), PreconditionError,
+                 id="parse_edge_list-bytes-text"),
+    pytest.param(lambda: maximal_outerplanar_random(6, None), PreconditionError,
+                 id="maximal_outerplanar_random-none-seed"),
     pytest.param(lambda: realize_class_counts(3, 2, "x"), PreconditionError,
                  id="realize_class_counts-str-ccv"),
     pytest.param(lambda: two_solution_coloring(3, "a", "b"), PreconditionError,
