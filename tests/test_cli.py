@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process through main()."""
 
+import argparse
 import ast
 import io
 import json
@@ -41,16 +42,6 @@ class TestGen:
             assert code == 0
             g = parse_edge_list(out)
             assert g.n >= n
-
-    def test_dodecahedron_needs_no_n(self, capsys):
-        code, out, _ = run(capsys, "gen", "--family", "dodecahedron")
-        assert code == 0
-        assert parse_edge_list(out).n == 20
-
-    def test_missing_n_is_precondition_error(self, capsys):
-        code, _, err = run(capsys, "gen", "--family", "cycle")
-        assert code == 65
-        assert "--n" in err
 
     def test_seed_changes_outerplanar(self, capsys):
         _, out_a, _ = run(capsys, "gen", "--family", "outerplanar", "--n",
@@ -173,12 +164,6 @@ class TestConstructVerifyRoundTrip:
         assert text.startswith("graph")
         assert "fillcolor=" in text
         assert "--" in text
-        code, out, _ = run(capsys, "construct", "--graph", str(k33),
-                           "--t", "2", "--emit-dot", "-")
-        assert code == 0
-        certificate, dot_text = out.split("\n", 1)
-        assert json.loads(certificate)["t"] == 2
-        assert dot_text.startswith("graph coloring {")
 
     def test_tampered_certificate_fails_verify(self, k33, tmp_path, capsys):
         _, out, _ = run(capsys, "construct", "--graph", str(k33), "--t", "3",
@@ -216,40 +201,6 @@ class TestConstructVerifyRoundTrip:
 
 
 class TestFeasibleAndExact:
-    def test_feasible_with_witness(self, capsys):
-        code, out, _ = run(capsys, "feasible", "--knn", "65", "--q", "9",
-                           "--variant", "inf2")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "feasible"
-        witness = json.loads(lines[1])
-        assert witness["x2p"] == 5 and witness["y1"] == 4
-
-    def test_infeasible_exit_code(self, capsys):
-        code, out, _ = run(capsys, "feasible", "--knn", "65", "--q", "7",
-                           "--variant", "inf2")
-        assert code == 1
-        assert out.strip() == "infeasible"
-
-    def test_matching_variant_json(self, capsys):
-        code, out, _ = run(capsys, "feasible", "--knn", "43", "--q", "22",
-                           "--variant", "11", "--json")
-        assert code == 0
-        assert json.loads(out) == {"feasible": True, "witness": None}
-
-    def test_exact_va_frozen_values(self, capsys):
-        code, out, _ = run(capsys, "exact-va", "--knn", "43",
-                           "--variant", "11")
-        assert (code, out.strip()) == (0, "22")
-        code, out, _ = run(capsys, "exact-va", "--knn", "65",
-                           "--variant", "inf2")
-        assert (code, out.strip()) == (0, "8")
-
-    def test_exact_va_json(self, capsys):
-        code, out, _ = run(capsys, "exact-va", "--knn", "65",
-                           "--variant", "inf2", "--json")
-        assert json.loads(out) == {"value": 8}
-
     def test_bad_instance_is_precondition_error(self, capsys):
         code, _, err = run(capsys, "feasible", "--knn", "0", "--q", "3",
                            "--variant", "11")
@@ -257,47 +208,6 @@ class TestFeasibleAndExact:
 
 
 class TestSearch:
-    def test_feasible_prints_certificate(self, tmp_path, capsys):
-        graph_file = tmp_path / "p4.txt"
-        _, out, _ = run(capsys, "gen", "--family", "path", "--n", "4")
-        graph_file.write_text(out)
-        code, out, _ = run(capsys, "search", "--graph", str(graph_file),
-                           "--t", "2")
-        assert code == 0
-        cert = json.loads(out)
-        assert cert["t"] == 2 and len(cert["colors"]) == 4
-
-    def test_infeasible_exit_one(self, tmp_path, capsys):
-        graph_file = tmp_path / "k55.txt"
-        _, out, _ = run(capsys, "gen", "--family", "knn", "--n", "5")
-        graph_file.write_text(out)
-        code, out, _ = run(capsys, "search", "--graph", str(graph_file),
-                           "--t", "3", "--k", "1", "--d", "1")
-        assert code == 1
-        assert out.strip() == "infeasible"
-
-    def test_budget_exit_two(self, tmp_path, capsys):
-        graph_file = tmp_path / "k44.txt"
-        _, out, _ = run(capsys, "gen", "--family", "knn", "--n", "4")
-        graph_file.write_text(out)
-        code, out, _ = run(capsys, "search", "--graph", str(graph_file),
-                           "--t", "3", "--k", "1", "--d", "1",
-                           "--max-nodes", "4")
-        assert code == 2
-        assert out.strip() == "budget-exceeded"
-
-    def test_json_status(self, tmp_path, capsys):
-        graph_file = tmp_path / "c5.txt"
-        _, out, _ = run(capsys, "gen", "--family", "cycle", "--n", "5")
-        graph_file.write_text(out)
-        code, out, _ = run(capsys, "search", "--graph", str(graph_file),
-                           "--t", "1", "--json")
-        assert code == 1
-        payload = json.loads(out)
-        assert payload["status"] == "infeasible"
-        assert payload["certificate"] is None
-
-
     def test_no_depth_limit(self, tmp_path, capsys):
         graph_file = tmp_path / "p1500.txt"
         _, out, _ = run(capsys, "gen", "--family", "path", "--n", "1500")
@@ -317,20 +227,6 @@ class TestSearch:
 
 
 class TestCrossCheckCommand:
-    def test_clean_window(self, capsys):
-        code, out, _ = run(capsys, "cross-check", "--nmax", "3",
-                           "--qmax", "6")
-        assert code == 0
-        assert "0 disagreements" in out
-
-    def test_json_output(self, capsys):
-        code, out, _ = run(capsys, "cross-check", "--nmax", "2",
-                           "--qmax", "4", "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["checked"] == 16
-        assert payload["disagreements"] == []
-
     def test_disagreement_is_listed(self, capsys, monkeypatch):
         report = CrossCheckReport(
             4, (Disagreement(2, 3, "inf2", "budget-exceeded", True),))
@@ -496,6 +392,20 @@ _GOLDEN = [
         _GEN_USAGE + "equitree gen: error: argument --family: invalid "
         "choice: 'wheel' (choose from 'knn', 'cycle', 'path', "
         "'dodecahedron', 'hexgrid', 'outerplanar')\n", marks=_ARGPARSE),
+    ("construct --graph k33.txt --t 2", 0,
+     '{"n_vertices": 6, "t": 2, "k": null, "d": null, '
+     '"colors": [1, 1, 1, 2, 2, 2]}\n', ""),
+    ("construct --graph k33.txt --t 3 --k 0 --d 0", 65, "",
+     "error: K_{3,3} has no equitable (3,0,0)-tree-coloring\n"),
+    ("construct --graph p4.txt --t 2 --emit-dot -", 0,
+     '{"n_vertices": 4, "t": 2, "k": null, "d": null, '
+     '"colors": [2, 1, 1, 2]}\n'
+     'graph coloring {\n  node [style=filled];\n'
+     '  0 [label="0" colorclass=2 fillcolor="0.500 0.400 1.000"];\n'
+     '  1 [label="1" colorclass=1 fillcolor="0.000 0.400 1.000"];\n'
+     '  2 [label="2" colorclass=1 fillcolor="0.000 0.400 1.000"];\n'
+     '  3 [label="3" colorclass=2 fillcolor="0.500 0.400 1.000"];\n'
+     '  0 -- 1;\n  1 -- 2;\n  2 -- 3;\n}\n', ""),
     ("verify --graph k33.txt --cert sides.json", 0, "valid\n", ""),
     ("verify --graph k33.txt --cert sides.json --json", 0,
      '{"verdict": true, "equitable": true, "first_violation": "", '
@@ -583,6 +493,19 @@ def test_golden_bytes(argv, code, out, err, tmp_path, capsys, monkeypatch):
     except SystemExit as exc:
         got = exc.code
     assert (got, *capsys.readouterr()) == (code, out, err)
+
+
+def test_golden_covers_every_subcommand():
+    """Every subcommand has a golden row, and one with --json has rows
+    with and without it."""
+    rows = {tuple(getattr(row, "values", row)[0].split()) for row in _GOLDEN}
+    commands = next(action.choices for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for name, parser in commands.items():
+        flagged = {"--json" in argv for argv in rows if argv[0] == name}
+        wanted = ({False, True} if "--json" in parser._option_string_actions
+                  else {False})
+        assert flagged == wanted, name
 
 def _readme_blocks():
     """README's sh blocks in order, each a list of ``(argv, redirect
