@@ -40,9 +40,11 @@ def _layout(q: int, shapes) -> TreeColoring:
     ys: list[int] = []
     color = 1
     for count, nx, ny in shapes:
+        if not count:
+            continue
         block = list(range(color, color + count))
-        xs += sorted(block * nx)
-        ys += sorted(block * ny)
+        xs += block if nx == 1 else sorted(block * nx)
+        ys += block if ny == 1 else sorted(block * ny)
         color += count
     return TreeColoring(tuple(xs + ys), q)
 

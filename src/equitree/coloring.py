@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Collection, Mapping, Protocol, Sequence
 
 from .errors import InputFormatError, PreconditionError
@@ -93,7 +94,10 @@ class ClassCheck:
     Classes of size 0 or 1, and independent sets of any size, report
     ``ClassCheck(size, True, 0, 0)``.  A class of at most three vertices is
     fixed, up to isomorphism, by its induced edge count, so its check is a
-    constant of ``_SMALL``; the triangle is ``(3, False, 2, None)``.
+    constant of ``_SMALL``; the triangle is ``(3, False, 2, None)``.  An
+    independent class of four or more vertices is found by one disjointness
+    scan before anything is measured, and its check is one shared object
+    per size.
     """
 
     size: int
@@ -117,6 +121,12 @@ _SMALL = ((ClassCheck(0, True, 0, 0),), (ClassCheck(1, True, 0, 0),),
           (ClassCheck(2, True, 0, 0), ClassCheck(2, True, 1, 1)),
           (ClassCheck(3, True, 0, 0), ClassCheck(3, True, 1, 1),
            ClassCheck(3, True, 2, 2), ClassCheck(3, False, 2, None)))
+
+
+@cache
+def _independent(size: int) -> ClassCheck:
+    """The check of an independent class, one shared object per size."""
+    return ClassCheck(size, True, 0, 0)
 
 
 class _Inside(Protocol):
@@ -157,9 +167,12 @@ def _class_checks(g: Graph, members: list[int]) -> ClassCheck:
     """Measure a class in time linear in its induced size.
 
     A class of at most three vertices is looked up in _SMALL by its induced
-    edge count, one adjacency test per pair.  In a larger class each
-    component goes through _measure, and the first component with a cycle
-    ends the check: the class is not a forest, so it has no diameter to report.
+    edge count, one adjacency test per pair.  A larger class is first tested
+    for independence, one set disjointness test per member at C speed,
+    stopping at the first member with a neighbor in the class.  Otherwise
+    each component goes through _measure, and the first component with a
+    cycle ends the check: the class is not a forest, so it has no diameter
+    to report.
     """
     adjacency = g.adjacency
     size = len(members)
@@ -173,10 +186,10 @@ def _class_checks(g: Graph, members: list[int]) -> ClassCheck:
     if size < 2:
         return _SMALL[size][0]
     mset = set(members)
+    if all(map(mset.isdisjoint, map(adjacency.__getitem__, members))):
+        return _independent(size)
     inside = {v: adjacency[v] & mset for v in members}
     max_degree = max(map(len, inside.values()))
-    if not max_degree:
-        return ClassCheck(size, True, 0, 0)
 
     seen: set[int] = set()
     diameter = 0
@@ -232,11 +245,12 @@ def verify(g: Graph, coloring: TreeColoring, params: Params) -> VerificationRepo
             f"outside the equitable range [{lo}, {hi}]"
         )
 
-    checks: list[ClassCheck] = []
+    # A one-vertex class, the commonest kind, takes its constant without a call.
+    one = _SMALL[1][0]
+    checks = [one if len(members) == 1 else _class_checks(g, members)
+              for members in classes]
     verdict = equitable
-    for c, members in enumerate(classes, start=1):
-        check = _class_checks(g, members)
-        checks.append(check)
+    for c, check in enumerate(checks, start=1):
         if not check.is_forest:
             problem = "contains a cycle"
         elif check.max_degree > params.k:

@@ -188,17 +188,6 @@ class TestConstructVerifyRoundTrip:
         assert report["verdict"] is True
         assert len(report["classes"]) == 2
 
-    def test_verify_json_bytes_of_a_cyclic_class(self, k33, tmp_path, capsys):
-        cert = tmp_path / "one.json"
-        cert.write_text(json.dumps({"n_vertices": 6, "t": 1, "k": None,
-                                    "d": None, "colors": [1] * 6}))
-        code, out, _ = run(capsys, "verify", "--graph", str(k33),
-                           "--cert", str(cert), "--json")
-        assert code == 1
-        assert out == ('{"verdict": false, "equitable": true, "first_violation": '
-                       '"class 1 contains a cycle", "classes": [{"size": 6, '
-                       '"is_forest": false, "max_degree": 3, "diameter": null}]}\n')
-
 
 class TestFeasibleAndExact:
     def test_bad_instance_is_precondition_error(self, capsys):

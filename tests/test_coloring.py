@@ -13,6 +13,7 @@ from equitree import (
     PreconditionError,
     TreeColoring,
     UNBOUNDED,
+    VerificationReport,
     certificate_from_coloring,
     coloring_from_certificate,
     complete_bipartite,
@@ -27,7 +28,7 @@ from equitree import (
     remove_vertices,
     verify,
 )
-from equitree.coloring import _sweep
+from equitree.coloring import _SMALL, _measure, _sweep
 
 
 class TestParams:
@@ -299,10 +300,13 @@ def _expected_check(h):
 
 def test_class_checks_match_independent_graph_queries():
     """Every ClassCheck agrees with graph.py's own checkers on the induced
-    subgraph, on seeded random graphs dense enough to give cyclic classes."""
+    subgraph, on seeded random graphs dense enough to give cyclic classes.
+    Among the classes of four or more vertices, which skip _SMALL, some are
+    independent, and some have an edge although their lowest-id member has
+    no neighbor in the class, so the independence scan reads past it."""
     rng = random.Random(2024)
     start = time.monotonic()
-    cyclic = 0
+    cyclic = independent = edge_past_first = 0
     for _ in range(300):
         n = rng.randint(1, 24)
         p = rng.choice((0.05, 0.1, 0.2, 0.35))
@@ -313,10 +317,16 @@ def test_class_checks_match_independent_graph_queries():
             tuple(rng.randint(1, t) for _ in range(n)), t)
         rep = verify(g, coloring, Params(t))
         for c, check in enumerate(rep.classes, start=1):
-            h = _induced(g, coloring.color_class(c))
+            members = coloring.color_class(c)
+            h = _induced(g, members)
             assert check == _expected_check(h)
             cyclic += not check.is_forest
+            if h.n >= 4:
+                independent += h.m == 0
+                edge_past_first += h.m > 0 and g.adjacency[members[0]].isdisjoint(members)
     assert cyclic >= 50
+    assert independent >= 50
+    assert edge_past_first >= 50
     assert time.monotonic() - start < 5.0
 
 
@@ -343,6 +353,111 @@ def test_small_class_checks_match_independent_graph_queries():
                 rows.add((h.n, h.m))
     assert rows == {(0, 0), (1, 0), (2, 0), (2, 1),
                     (3, 0), (3, 1), (3, 2), (3, 3)}
+    assert time.monotonic() - start < 5.0
+
+
+def _reference_class_check(g, members):
+    """_class_checks before the independence scan: a class of four or more
+    vertices always builds its induced adjacency first."""
+    adjacency = g.adjacency
+    size = len(members)
+    if size == 2:
+        u, v = members
+        return _SMALL[2][v in adjacency[u]]
+    if size == 3:
+        u, v, w = members
+        near = adjacency[u]
+        return _SMALL[3][(v in near) + (w in near) + (w in adjacency[v])]
+    if size < 2:
+        return _SMALL[size][0]
+    mset = set(members)
+    inside = {v: adjacency[v] & mset for v in members}
+    max_degree = max(map(len, inside.values()))
+    if not max_degree:
+        return ClassCheck(size, True, 0, 0)
+
+    seen: set[int] = set()
+    diameter = 0
+    for s in members:
+        if s in seen or not inside[s]:
+            continue
+        comp, ecc = _measure(inside, s)
+        if ecc is None:
+            return ClassCheck(size, False, max_degree, None)
+        seen.update(comp)
+        if ecc > diameter:
+            diameter = ecc
+    return ClassCheck(size, True, max_degree, diameter)
+
+
+def _reference_verify(g, coloring, params):
+    """verify's loop before one-vertex classes took their constant in place:
+    every class goes through _reference_class_check, in color order."""
+    t = params.t
+    classes: list[list[int]] = [[] for _ in range(t)]
+    for v, c in enumerate(coloring.colors):
+        classes[c - 1].append(v)
+
+    lo, hi = g.n // t, -(-g.n // t)
+    sizes = [len(members) for members in classes]
+    first = ""
+    equitable = lo <= min(sizes) and max(sizes) <= hi
+    if not equitable:
+        c, size = next((c, size) for c, size in enumerate(sizes, start=1)
+                       if not lo <= size <= hi)
+        first = (
+            f"class {c} has size {size}, "
+            f"outside the equitable range [{lo}, {hi}]"
+        )
+
+    checks: list[ClassCheck] = []
+    verdict = equitable
+    for c, members in enumerate(classes, start=1):
+        check = _reference_class_check(g, members)
+        checks.append(check)
+        if not check.is_forest:
+            problem = "contains a cycle"
+        elif check.max_degree > params.k:
+            problem = f"has induced degree {check.max_degree}, above the cap {params.k}"
+        elif check.diameter > params.d:
+            problem = (f"has a component of diameter {check.diameter}, "
+                       f"above the cap {params.d}")
+        else:
+            continue
+        verdict = False
+        first = first or f"class {c} {problem}"
+    return VerificationReport(verdict, equitable, first, tuple(checks))
+
+
+def test_verify_matches_the_reference_loop_on_knn_colorings():
+    """Every construct_knn coloring of K_{n,n}, n <= 12, under (1,1), (inf,2)
+    and (0,0) where it exists: one-sided classes, edges and larger stars,
+    each coloring checked under all three cap pairs, so also under the caps
+    it breaks."""
+    caps = ((1, 1), (UNBOUNDED, 2), (0, 0))
+    start = time.monotonic()
+    one_sided = edges = stars = broken = 0
+    for n in range(1, 13):
+        g = complete_bipartite(n)
+        for q in range(1, 2 * n + 3):
+            for built in caps:
+                try:
+                    coloring = construct_knn(n, q, *built)
+                except PreconditionError:
+                    continue
+                for k, d in caps:
+                    params = Params(q, k, d)
+                    rep = verify(g, coloring, params)
+                    assert rep == _reference_verify(g, coloring, params), (n, q, built, k, d)
+                    broken += not rep.verdict
+                for check in rep.classes:
+                    one_sided += check.size >= 4 and not check.max_degree
+                    edges += check.max_degree == 1
+                    stars += check.max_degree >= 2
+    assert one_sided >= 100
+    assert edges >= 100
+    assert stars >= 20
+    assert broken >= 100
     assert time.monotonic() - start < 5.0
 
 
