@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .coloring import TreeColoring, _check_bound
-from .errors import InfeasibleVectorError, PreconditionError
-from .graph import UNBOUNDED, Graph, _check_type, _is_count
+from .errors import InfeasibleVectorError, InputFormatError, PreconditionError
+from .graph import UNBOUNDED, Graph, _check_type, _is_count, _unchecked
 
 
 def _require_instance(n: int, q: int) -> None:
@@ -35,7 +35,12 @@ def _require_instance(n: int, q: int) -> None:
 
 
 def _layout(q: int, shapes) -> TreeColoring:
-    """Color K_{n,n} from (count, from X, from Y) class shapes, in order."""
+    """Color K_{n,n} from (count, from X, from Y) class shapes, in order.
+
+    Every caller's counts are nonnegative ints, so each color is a block
+    value in 1..color-1 and one test after the loop settles TreeColoring's
+    rule that every color lies in 1..q.
+    """
     xs: list[int] = []
     ys: list[int] = []
     color = 1
@@ -46,7 +51,10 @@ def _layout(q: int, shapes) -> TreeColoring:
         xs += block if nx == 1 else sorted(block * nx)
         ys += block if ny == 1 else sorted(block * ny)
         color += count
-    return TreeColoring(tuple(xs + ys), q)
+    if not (_is_count(q, 1) and color - 1 <= q):
+        raise InputFormatError(
+            f"q must be an int >= {max(color - 1, 1)} for these shapes, got {q!r}")
+    return _unchecked(TreeColoring, colors=tuple(xs + ys), t=q)
 
 
 # ---- class-count vectors ----------------------------------------------------

@@ -9,9 +9,11 @@ import pytest
 
 from equitree import (
     InfeasibleVectorError,
+    InputFormatError,
     Params,
     PreconditionError,
     SolutionPair,
+    TreeColoring,
     UNBOUNDED,
     complete_bipartite,
     construct_knn,
@@ -40,7 +42,7 @@ from equitree import (
     vainf2_upper,
     verify,
 )
-from equitree.bipartite import _SHAPE_NAMES, _star_ok, _threshold, _witness_counts
+from equitree.bipartite import _SHAPE_NAMES, _layout, _star_ok, _threshold, _witness_counts
 
 
 def _check_11(n, q, coloring):
@@ -645,6 +647,27 @@ class TestAgainstShapeReference:
                 assert make_class_counts(
                     n, q, **dict(zip(_SHAPE_NAMES, witness.counts()))) == witness, (n, q)
             assert _builds(construct_knn, n, q, k, d) == expected, (n, q)
+
+
+class TestLayoutPassesTheColoringCheck:
+    """_layout builds its coloring without TreeColoring's check."""
+
+    def test_every_small_construction(self):
+        built = 0
+        for k, d in product(CAP_VALUES, repeat=2):
+            for n in range(1, 13):
+                for q in range(1, 2 * n + 3):
+                    try:
+                        coloring = construct_knn(n, q, k, d)
+                    except PreconditionError:
+                        continue
+                    assert TreeColoring(**vars(coloring)) == coloring, (n, q, k, d)
+                    built += 1
+        assert built > 3000
+
+    def test_shapes_past_q_raise(self):
+        with pytest.raises(InputFormatError, match="q must be an int >= 3 .* got 2"):
+            _layout(2, ((2, 1, 0), (1, 0, 1)))
 
 
 # ---- the decider's witness against the sx walk it replaced ----------------

@@ -153,6 +153,15 @@ class TestGenerators:
         assert (g.n, g.m) == (2, 1)
         assert is_forest(g)
 
+    def test_complete_bipartite_passes_the_graph_check(self):
+        # complete_bipartite builds its graph without Graph's check, which
+        # must accept the same fields.  The canonical parse skips the check
+        # too; test_fast_parse_matches_the_line_loop holds it to the checked
+        # line loop.
+        for n in range(1, 61):
+            g = complete_bipartite(n)
+            assert Graph(**vars(g)) == g, n
+
     def test_path_and_cycle(self):
         p = path(5)
         assert (p.n, p.m) == (5, 4)

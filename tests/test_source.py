@@ -1,9 +1,13 @@
-"""The library behaves the same under ``python -O``.
+"""Rules of the package's source, stated for every line by parsing it.
 
-``-O`` strips ``assert`` statements and sets ``__debug__`` to False and
-``sys.flags.optimize`` to 1; it changes nothing else a module can see.  So
-no module of the package may hold an ``assert`` or read either flag.  Parsing
-the source states this for every line, also for lines no other test runs.
+The library behaves the same under ``python -O``.  ``-O`` strips ``assert``
+statements and sets ``__debug__`` to False and ``sys.flags.optimize`` to 1;
+it changes nothing else a module can see.  So no module of the package may
+hold an ``assert`` or read either flag.
+
+Only the builders that prove every rule of ``Graph``'s or ``TreeColoring``'s
+check in their own lines skip it through ``graph._unchecked``.  A new caller
+fails here until it is added to ``UNCHECKED_BUILDERS`` on purpose.
 """
 
 import ast
@@ -58,3 +62,52 @@ def test_no_module_depends_on_the_optimize_flag():
     found = [f"{path.relative_to(PACKAGE)} {place}" for path in modules
              for place in _optimize_dependent(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+# Each builds its value valid by construction; every other path keeps the check.
+UNCHECKED_BUILDERS = [
+    "bipartite.py _layout",
+    "graph.py complete_bipartite",
+    "graph.py parse_edge_list",
+]
+
+
+def _unchecked_uses(source: str) -> list[tuple[int, str]]:
+    """Each use of ``_unchecked`` in source, with its innermost function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == "_unchecked"
+                    or isinstance(child, ast.Attribute) and child.attr == "_unchecked"):
+                found.append((child.lineno, owner))
+            elif isinstance(child, ast.alias) and child.name == "_unchecked" and child.asname:
+                found.append((child.lineno, f"import as {child.asname}"))
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f():\n    return _unchecked(C, x=1)", [(2, "f")]),
+    ("async def f():\n    return _unchecked(C)", [(2, "f")]),
+    ("x = graph._unchecked(C)", [(1, "<module>")]),
+    ("def f():\n    def g():\n        return _unchecked(C)\n    return g", [(3, "g")]),
+    ("class C:\n    def m(self):\n        return _unchecked(C)", [(3, "m")]),
+    ("build = _unchecked\ndef f():\n    return build(C)", [(1, "<module>")]),
+    ("from .graph import _unchecked as make", [(1, "import as make")]),
+    ("from .graph import _unchecked\ndef _unchecked_twin():\n    return C()", []),
+], ids=["call", "async", "attribute", "nested", "method", "alias", "import-as", "none"])
+def test_the_check_finds_each_use_of_unchecked(source, found):
+    assert _unchecked_uses(source) == found
+
+
+def test_only_the_listed_builders_skip_the_check():
+    found = [f"{path.relative_to(PACKAGE)} {owner}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for _, owner in _unchecked_uses(path.read_text(encoding="utf-8"))]
+    assert found == UNCHECKED_BUILDERS
