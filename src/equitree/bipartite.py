@@ -20,12 +20,11 @@ order; colors past the last shape are empty classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .coloring import TreeColoring, _check_bound
 from .errors import InfeasibleVectorError, InputFormatError, PreconditionError
-from .graph import UNBOUNDED, Graph, _check_type, _is_count, _unchecked
+from .graph import UNBOUNDED, Graph, _check_type, _is_count, _unchecked, _Value
 
 
 def _require_instance(n: int, q: int) -> None:
@@ -60,8 +59,7 @@ def _layout(q: int, shapes) -> TreeColoring:
 # ---- class-count vectors ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassCountVector:
+class ClassCountVector(_Value):
     """Counts of the eight class shapes of an equitable tree-coloring of K_{n,n}.
 
     Shapes are keyed by bulk side and size: x1 counts classes of a+1
@@ -73,14 +71,28 @@ class ClassCountVector:
 
     a: int
     r: int
-    x1: int = 0
-    x2: int = 0
-    x1p: int = 0
-    x2p: int = 0
-    y1: int = 0
-    y2: int = 0
-    y1p: int = 0
-    y2p: int = 0
+    x1: int
+    x2: int
+    x1p: int
+    x2p: int
+    y1: int
+    y2: int
+    y1p: int
+    y2p: int
+
+    def __init__(self, a: int, r: int, x1: int = 0, x2: int = 0, x1p: int = 0,
+                 x2p: int = 0, y1: int = 0, y2: int = 0, y1p: int = 0,
+                 y2p: int = 0) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "x2", x2)
+        object.__setattr__(self, "x1p", x1p)
+        object.__setattr__(self, "x2p", x2p)
+        object.__setattr__(self, "y1", y1)
+        object.__setattr__(self, "y2", y2)
+        object.__setattr__(self, "y1p", y1p)
+        object.__setattr__(self, "y2p", y2p)
 
     def counts(self) -> tuple[int, ...]:
         return (self.x1, self.x2, self.x1p, self.x2p,
@@ -185,12 +197,15 @@ def odd_q_11_coloring(n: int, q: int) -> TreeColoring:
 # ---- the one-sided class-size equation --------------------------------------
 
 
-@dataclass(frozen=True)
-class SolutionPair:
+class SolutionPair(_Value):
     """Nonnegative solution of a*x + (a+1)*y = n: x small and y large classes."""
 
     x: int
     y: int
+
+    def __init__(self, x: int, y: int) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def z(self) -> int:

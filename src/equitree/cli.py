@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .coloring import (
@@ -34,6 +33,7 @@ from .errors import (
 from .graph import (
     UNBOUNDED,
     Graph,
+    asdict,
     complete_bipartite,
     cycle,
     dodecahedron,

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Any, Collection, Mapping, Protocol, Sequence
 
 from .errors import InputFormatError, PreconditionError
-from .graph import UNBOUNDED, Graph, _check_type, _is_count
+from .graph import UNBOUNDED, Graph, _check_type, _is_count, _Value
 
 # The names of the methods that dispatch.construct chooses among.
 METHODS = ("auto", "girth5", "girth6", "outerplanar")
@@ -20,8 +19,7 @@ def _check_bound(value: Any, name: str) -> int | float:
     raise PreconditionError(f"{name} must be a nonnegative int or UNBOUNDED")
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(_Value):
     """Problem parameters: t color classes, degree cap k, diameter cap d.
 
     Each class must induce a forest whose maximum degree is at most k and
@@ -30,14 +28,15 @@ class Params:
     """
 
     t: int
-    k: int | float = UNBOUNDED
-    d: int | float = UNBOUNDED
+    k: int | float
+    d: int | float
 
-    def __post_init__(self) -> None:
-        if not _is_count(self.t, 1):
+    def __init__(self, t: int, k: int | float = UNBOUNDED, d: int | float = UNBOUNDED) -> None:
+        if not _is_count(t, 1):
             raise PreconditionError("t must be an int >= 1")
-        _check_bound(self.k, "k")
-        _check_bound(self.d, "d")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "k", _check_bound(k, "k"))
+        object.__setattr__(self, "d", _check_bound(d, "d"))
 
 
 def _check_args(g: Any, params: Any) -> None:
@@ -46,28 +45,25 @@ def _check_args(g: Any, params: Any) -> None:
     _check_type(params, Params, "params")
 
 
-@dataclass(frozen=True)
-class TreeColoring:
+class TreeColoring(_Value):
     """An assignment of colors 1..t to vertices 0..n-1 (colors[v] = color of v)."""
 
     colors: tuple[int, ...]
     t: int
 
-    def __post_init__(self) -> None:
-        if not _is_count(self.t, 1):
+    def __init__(self, colors: tuple[int, ...], t: int) -> None:
+        if not _is_count(t, 1):
             raise InputFormatError("t must be an int >= 1")
-        colors = self.colors
         if not isinstance(colors, tuple):
             raise InputFormatError(f"colors must be a tuple, got {type(colors).__name__}")
         # The common case at C speed; the loop below only finds the culprit.
-        if not colors or (set(map(type, colors)) == {int}
-                          and 1 <= min(colors) and max(colors) <= self.t):
-            return
-        for v, c in enumerate(colors):
-            if not (_is_count(c, 1) and c <= self.t):
-                raise InputFormatError(
-                    f"vertex {v} has color {c!r}, outside 1..{self.t}"
-                )
+        if colors and not (set(map(type, colors)) == {int}
+                           and 1 <= min(colors) and max(colors) <= t):
+            for v, c in enumerate(colors):
+                if not (_is_count(c, 1) and c <= t):
+                    raise InputFormatError(f"vertex {v} has color {c!r}, outside 1..{t}")
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "t", t)
 
     @property
     def n(self) -> int:
@@ -84,8 +80,7 @@ class TreeColoring:
         return [v for v, col in enumerate(self.colors) if col == c]
 
 
-@dataclass(frozen=True)
-class ClassCheck:
+class ClassCheck(_Value):
     """Measured facts about one color class.
 
     ``max_degree`` is the largest degree in the subgraph the class induces.
@@ -105,15 +100,28 @@ class ClassCheck:
     max_degree: int
     diameter: int | None
 
+    def __init__(self, size: int, is_forest: bool, max_degree: int,
+                 diameter: int | None) -> None:
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "is_forest", is_forest)
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "diameter", diameter)
 
-@dataclass(frozen=True)
-class VerificationReport:
+
+class VerificationReport(_Value):
     """Outcome of verify: overall verdict plus per-class measurements."""
 
     verdict: bool
     equitable: bool
     first_violation: str
     classes: tuple[ClassCheck, ...]
+
+    def __init__(self, verdict: bool, equitable: bool, first_violation: str,
+                 classes: tuple[ClassCheck, ...]) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "equitable", equitable)
+        object.__setattr__(self, "first_violation", first_violation)
+        object.__setattr__(self, "classes", classes)
 
 
 # The check of each class of at most three vertices, by size, then induced edges.

@@ -6,8 +6,7 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, TypeVar
+from typing import Any, Iterable, Iterator, TypeVar
 
 from .errors import InputFormatError, PreconditionError
 
@@ -31,8 +30,57 @@ def _check_type(value: object, kind: type, name: str) -> None:
             f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
 
 
+class _Value:
+    """Base of the frozen value classes: equality, hash, repr and immutability,
+    all read from the field names in ``__match_args__``, which are the names
+    a subclass annotates, in order, as for a dataclass.
+
+    Each subclass writes out its ``__init__``, which checks its arguments and
+    sets each field with ``object.__setattr__``.  Unlike a frozen dataclass,
+    a subclass generates no code at import, and no process that uses one
+    imports ``dataclasses`` or the ``inspect`` it loads.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # A subclass that annotates nothing keeps its base's fields.
+        cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", cls.__match_args__))
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def asdict(value: Any) -> Any:
+    """A value object as a dict of its fields, with the value objects in its
+    fields and tuples converted too: the source of the CLI's JSON."""
+    if isinstance(value, _Value):
+        return {name: asdict(getattr(value, name)) for name in value.__match_args__}
+    if isinstance(value, tuple):
+        return tuple(map(asdict, value))
+    return value
+
+
 def _unchecked(cls: type[_T], **fields: object) -> _T:
-    """An instance of the frozen dataclass cls with no __post_init__ check.
+    """An instance of the value class cls built without its __init__ check.
 
     Only for a builder whose own lines prove every rule of that check;
     tests/test_source.py names the builders that may call it.
@@ -42,8 +90,7 @@ def _unchecked(cls: type[_T], **fields: object) -> _T:
     return obj
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Value):
     """Undirected simple graph on vertex ids 0..n-1, stored as adjacency sets.
 
     Instances are immutable; vertex deletion produces a new graph together
@@ -52,8 +99,7 @@ class Graph:
 
     adjacency: tuple[frozenset[int], ...]
 
-    def __post_init__(self) -> None:
-        adjacency = self.adjacency
+    def __init__(self, adjacency: tuple[frozenset[int], ...]) -> None:
         # Frozen containers keep a validated graph valid and hashable; the
         # type test runs at C speed, once per distinct element type.
         if not (isinstance(adjacency, tuple)
@@ -76,6 +122,7 @@ class Graph:
                         raise InputFormatError(f"asymmetric adjacency between {v} and {u}")
         except TypeError as exc:
             raise InputFormatError(f"neighbors must be int vertex ids: {exc}") from exc
+        object.__setattr__(self, "adjacency", adjacency)
 
     @property
     def n(self) -> int:

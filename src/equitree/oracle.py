@@ -18,39 +18,43 @@ measured through verify's kernel, coloring._measure.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .coloring import Params, TreeColoring, _check_args, _measure
 from .errors import PreconditionError
-from .graph import UNBOUNDED, Graph, _check_type, _is_count, complete_bipartite
+from .graph import UNBOUNDED, Graph, _check_type, _is_count, _Value, complete_bipartite
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 BUDGET_EXCEEDED = "budget-exceeded"
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(_Value):
     """Caps on the exhaustive search: node count and wall-clock seconds."""
 
-    max_nodes: int = 100_000_000
-    time_cap: float = 60.0
+    max_nodes: int
+    time_cap: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, max_nodes: int = 100_000_000, time_cap: float = 60.0) -> None:
         # Written so that a NaN time cap fails too.
-        cap = self.time_cap
-        if (not _is_count(self.max_nodes, 1) or isinstance(cap, bool)
-                or not isinstance(cap, (int, float)) or not cap > 0):
+        if (not _is_count(max_nodes, 1) or isinstance(time_cap, bool)
+                or not isinstance(time_cap, (int, float)) or not time_cap > 0):
             raise PreconditionError(
                 "search budget needs an int max_nodes >= 1 and a positive time_cap"
             )
+        object.__setattr__(self, "max_nodes", max_nodes)
+        object.__setattr__(self, "time_cap", time_cap)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Value):
     status: str
-    coloring: TreeColoring | None = None
-    nodes: int = 0
+    coloring: TreeColoring | None
+    nodes: int
+
+    def __init__(self, status: str, coloring: TreeColoring | None = None,
+                 nodes: int = 0) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "coloring", coloring)
+        object.__setattr__(self, "nodes", nodes)
 
 
 def brute_force_search(g: Graph, params: Params,
@@ -151,19 +155,29 @@ def brute_force_search(g: Graph, params: Params,
     return SearchResult(FEASIBLE, TreeColoring(tuple(colors), t), nodes)
 
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(_Value):
     n: int
     q: int
     variant: str
     oracle_status: str
     formula_feasible: bool
 
+    def __init__(self, n: int, q: int, variant: str, oracle_status: str,
+                 formula_feasible: bool) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "oracle_status", oracle_status)
+        object.__setattr__(self, "formula_feasible", formula_feasible)
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+
+class CrossCheckReport(_Value):
     checked: int
     disagreements: tuple[Disagreement, ...]
+
+    def __init__(self, checked: int, disagreements: tuple[Disagreement, ...]) -> None:
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "disagreements", disagreements)
 
     @property
     def clean(self) -> bool:

@@ -40,7 +40,6 @@ ConfigurationNotFoundError surfaces instead of a wrong coloring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush, merge
 from itertools import permutations
 from math import gcd
@@ -53,7 +52,7 @@ from .errors import (
     NotEnoughVerticesError,
     PreconditionError,
 )
-from .graph import UNBOUNDED, Graph, _check_type, _is_count, remove_vertices
+from .graph import UNBOUNDED, Graph, _check_type, _is_count, _Value, remove_vertices
 
 # Configuration kinds, named for what they look like.  The first two are
 # the shared scan of all three peels; the outerplanar peel needs no other.
@@ -65,41 +64,45 @@ TWO_NEIGHBOR_HUB = "two_neighbor_hub"
 _FILL_BUDGET = 20000
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_Value):
     """A reducible local pattern: its kind plus named witness vertices."""
 
     kind: str
     data: Mapping[str, object]
 
+    def __init__(self, kind: str, data: Mapping[str, object]) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "data", data)
+
     def __getitem__(self, key: str):
         return self.data[key]
 
 
-@dataclass(frozen=True)
-class ExtensionSequence:
+class ExtensionSequence(_Value):
     """Vertices v1..vt of a graph with |N(v_i) outside the set| <= 2i-1."""
 
     graph: Graph
     vertices: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _check_type(self.graph, Graph, "graph")
-        _check_type(self.vertices, tuple, "vertices")
-        if not self.vertices:
+    def __init__(self, graph: Graph, vertices: tuple[int, ...]) -> None:
+        _check_type(graph, Graph, "graph")
+        _check_type(vertices, tuple, "vertices")
+        if not vertices:
             raise PreconditionError("extension sequence must be nonempty")
-        members = set(self.vertices)
-        if len(members) != len(self.vertices):
+        members = set(vertices)
+        if len(members) != len(vertices):
             raise PreconditionError("extension sequence has repeated vertices")
-        for position, v in enumerate(self.vertices, start=1):
-            if not (_is_count(v, 0) and v < self.graph.n):
+        for position, v in enumerate(vertices, start=1):
+            if not (_is_count(v, 0) and v < graph.n):
                 raise PreconditionError(f"sequence vertex {v!r} out of range")
-            outside = len(self.graph.adjacency[v] - members)
+            outside = len(graph.adjacency[v] - members)
             if outside > 2 * position - 1:
                 raise PreconditionError(
                     f"vertex {v} at position {position} has {outside} "
                     f"neighbors outside the sequence, above {2 * position - 1}"
                 )
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "vertices", vertices)
 
     @property
     def t(self) -> int:

@@ -1,18 +1,30 @@
 """Graph model, generators, queries, and the edge-list text format."""
 
+import copy
+import inspect
+import pickle
 import random
 
 import pytest
 
 import equitree.graph as graph_module
 from equitree import (
+    ClassCheck,
+    ClassCountVector,
+    Configuration,
+    CrossCheckReport,
+    Disagreement,
     ExtensionSequence,
     Graph,
     InputFormatError,
     Params,
     PreconditionError,
+    SearchBudget,
+    SearchResult,
+    SolutionPair,
     TreeColoring,
     UNBOUNDED,
+    VerificationReport,
     brute_force_search,
     certificate_from_coloring,
     color_girth5,
@@ -629,3 +641,76 @@ def test_wrong_types_name_the_argument_and_its_type():
     ):
         with pytest.raises(PreconditionError, match=f"^{message}$"):
             call()
+
+
+# ---- the value classes ------------------------------------------------------
+
+_K11 = "Graph(adjacency=(frozenset({1}), frozenset({0})))"
+
+
+# One value of each class: built with every field positional, built by keyword
+# with the defaults left out, and its repr.
+_VALUES = [
+    (complete_bipartite(1), Graph(adjacency=(frozenset({1}), frozenset({0}))), _K11),
+    (Params(3, 1, 1), Params(d=1, k=1, t=3), "Params(t=3, k=1, d=1)"),
+    (TreeColoring((1, 2, 2), 2), TreeColoring(t=2, colors=(1, 2, 2)),
+     "TreeColoring(colors=(1, 2, 2), t=2)"),
+    (ClassCheck(3, False, 2, None),
+     ClassCheck(diameter=None, max_degree=2, is_forest=False, size=3),
+     "ClassCheck(size=3, is_forest=False, max_degree=2, diameter=None)"),
+    (VerificationReport(False, True, "x", (ClassCheck(1, True, 0, 0),)),
+     VerificationReport(classes=(ClassCheck(1, True, 0, 0),), first_violation="x",
+                        equitable=True, verdict=False),
+     "VerificationReport(verdict=False, equitable=True, first_violation='x', "
+     "classes=(ClassCheck(size=1, is_forest=True, max_degree=0, diameter=0),))"),
+    (ClassCountVector(2, 1, 0, 3, 0, 0, 0, 0, 0, 0), ClassCountVector(r=1, a=2, x2=3),
+     "ClassCountVector(a=2, r=1, x1=0, x2=3, x1p=0, x2p=0, y1=0, y2=0, y1p=0, y2p=0)"),
+    (SolutionPair(2, 1), SolutionPair(y=1, x=2), "SolutionPair(x=2, y=1)"),
+    (SearchBudget(100_000_000, 60.0), SearchBudget(),
+     "SearchBudget(max_nodes=100000000, time_cap=60.0)"),
+    (SearchResult("infeasible", None, 0), SearchResult(status="infeasible"),
+     "SearchResult(status='infeasible', coloring=None, nodes=0)"),
+    (Disagreement(3, 2, "11", "feasible", False),
+     Disagreement(formula_feasible=False, oracle_status="feasible", variant="11",
+                  q=2, n=3),
+     "Disagreement(n=3, q=2, variant='11', oracle_status='feasible', "
+     "formula_feasible=False)"),
+    (CrossCheckReport(4, ()), CrossCheckReport(disagreements=(), checked=4),
+     "CrossCheckReport(checked=4, disagreements=())"),
+    (Configuration("low_vertex", {"v": 0}), Configuration(data={"v": 0}, kind="low_vertex"),
+     "Configuration(kind='low_vertex', data={'v': 0})"),
+    (ExtensionSequence(complete_bipartite(1), (0, 1)),
+     ExtensionSequence(vertices=(0, 1), graph=complete_bipartite(1)),
+     f"ExtensionSequence(graph={_K11}, vertices=(0, 1))"),
+]
+
+
+@pytest.mark.parametrize("value, by_keyword, text", _VALUES,
+                         ids=[type(value).__name__ for value, _, _ in _VALUES])
+def test_value_class_behaviour(value, by_keyword, text):
+    cls = type(value)
+    names = cls.__match_args__
+    assert names == tuple(inspect.signature(cls).parameters)
+    fields = tuple(getattr(value, name) for name in names)
+    assert repr(value) == text
+    assert value == by_keyword == cls(*fields) and value is not by_keyword
+    assert value.__eq__(fields) is NotImplemented and value != fields
+    # The hash of the fields; a Configuration's data is a dict, so it has none.
+    if cls is Configuration:
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(by_keyword) == hash(fields)
+    for name in (*names, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in names) == fields
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is cls and twin == value and repr(twin) == text
+    match value:
+        case cls(first):
+            assert first == fields[0]
+        case _:
+            pytest.fail("no match on the first field")

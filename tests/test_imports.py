@@ -29,17 +29,21 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     return done
 
 
-# Prepended to each script: on exit, write the loaded equitree submodules to stderr.
+# Prepended to each script: on exit, write to stderr the loaded equitree
+# submodules, and dataclasses and inspect if the script loaded them: the
+# package needs neither, and their import is a large share of start-up.
 _REPORT = ("import atexit, sys\n"
+           "preloaded = set(sys.modules)\n"
            "atexit.register(lambda: sys.stderr.write(' '.join(\n"
-           "    m for m in sys.modules if m.startswith('equitree.'))))\n")
+           "    m for m in sys.modules if m.startswith('equitree.')\n"
+           "    or m in ('dataclasses', 'inspect') and m not in preloaded)))\n")
 
 
 def _loaded(script: str) -> tuple[str, set[str]]:
     """Stdout of a fresh interpreter that runs script, and the equitree
-    submodules loaded when it exits."""
+    submodules, with dataclasses and inspect if loaded, when it exits."""
     done = _python("-c", _REPORT + script)
-    return done.stdout, {name.split(".", 1)[1] for name in done.stderr.split()}
+    return done.stdout, {name.removeprefix("equitree.") for name in done.stderr.split()}
 
 
 def _defined_names(module: str) -> set[str]:
