@@ -20,17 +20,19 @@ __version__ = "0.1.0"
 # Each public name, by the submodule that defines it.
 _EXPORTS = {
     "bipartite": (
-        "ClassCountVector", "SolutionPair", "construct_knn", "construct_knn_11",
-        "construct_knn_inf2", "detect_balanced_biclique", "even_t_coloring",
-        "exact_va11", "exact_vainf2", "feasible_11", "feasible_counts",
-        "feasible_inf2", "infeasible_by_divisibility", "make_class_counts",
-        "odd_q_11_coloring", "odd_q_inf2_counts", "realize_class_counts",
-        "relabel_for_sides", "solve_linear", "two_solution_coloring",
-        "va11_upper", "vainf2_upper",
+        "SolutionPair", "construct_knn", "construct_knn_11", "construct_knn_inf2",
+        "detect_balanced_biclique", "even_t_coloring", "infeasible_by_divisibility",
+        "make_class_counts", "odd_q_11_coloring", "odd_q_inf2_counts",
+        "realize_class_counts", "relabel_for_sides", "solve_linear",
+        "two_solution_coloring", "va11_upper", "vainf2_upper",
     ),
     "coloring": (
-        "METHODS", "ClassCheck", "Params", "TreeColoring", "VerificationReport",
+        "ClassCheck", "Params", "TreeColoring", "VerificationReport",
         "certificate_from_coloring", "coloring_from_certificate", "verify",
+    ),
+    "decider": (
+        "ClassCountVector", "exact_va11", "exact_vainf2", "feasible_11",
+        "feasible_counts", "feasible_inf2",
     ),
     "dispatch": ("construct",),
     "errors": (
@@ -39,7 +41,7 @@ _EXPORTS = {
         "PreconditionError",
     ),
     "graph": (
-        "UNBOUNDED", "Graph", "complete_bipartite", "component_diameter_max",
+        "Graph", "complete_bipartite", "component_diameter_max",
         "connected_components", "cycle", "dodecahedron", "format_edge_list",
         "girth", "graph_from_edges", "hex_grid", "is_forest", "max_degree",
         "maximal_outerplanar_random", "parse_edge_list", "path",
@@ -57,6 +59,7 @@ _EXPORTS = {
         "find_reducible_girth5", "find_reducible_girth6",
         "find_reducible_outerplanar",
     ),
+    "values": ("METHODS", "UNBOUNDED"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli"}

@@ -13,39 +13,23 @@ argparse itself exits with 2 on bad flags, before any computation.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .coloring import (
-    METHODS,
-    Params,
-    TreeColoring,
-    certificate_from_coloring,
-    coloring_from_certificate,
-    verify,
-)
 from .errors import (
     ConfigurationNotFoundError,
     InputFormatError,
     PreconditionError,
 )
-from .graph import (
-    UNBOUNDED,
-    Graph,
-    asdict,
-    complete_bipartite,
-    cycle,
-    dodecahedron,
-    format_edge_list,
-    hex_grid,
-    maximal_outerplanar_random,
-    parse_edge_list,
-    path,
-)
+from .values import METHODS, UNBOUNDED, asdict
 
-# The engines (bipartite, dispatch, oracle) are imported by the handlers that
-# call them, so a process loads only what its subcommand runs.
+if TYPE_CHECKING:
+    from .coloring import TreeColoring
+    from .graph import Graph
+
+# Everything else (graph, coloring, the engines and json) is imported by the
+# handlers that use it, so a process loads only what its subcommand runs.
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -85,10 +69,16 @@ def _read_text(source: str) -> str:
 
 
 def _load_graph(source: str) -> Graph:
+    from .graph import parse_edge_list
+
     return parse_edge_list(_read_text(source))
 
 
 def _load_certificate(source: str):
+    import json
+
+    from .coloring import coloring_from_certificate
+
     text = _read_text(source)
     try:
         payload = json.loads(text)
@@ -113,6 +103,13 @@ def _dot_text(g: Graph, coloring: TreeColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dumps(payload) -> str:
+    """payload as JSON text; json is imported only by a process that writes it."""
+    import json
+
+    return json.dumps(payload)
+
+
 def _print_coloring(args, g: Graph, coloring: TreeColoring, payload) -> None:
     """Print payload as JSON, then any `--emit-dot -` DOT text; a DOT file
     is written first, so one that cannot be written leaves stdout empty."""
@@ -123,7 +120,7 @@ def _print_coloring(args, g: Graph, coloring: TreeColoring, payload) -> None:
             Path(destination).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise InputFormatError(f"cannot write {destination}: {exc}") from exc
-    print(json.dumps(payload))
+    print(_dumps(payload))
     if destination == "-":
         sys.stdout.write(text)
 
@@ -131,30 +128,34 @@ def _print_coloring(args, g: Graph, coloring: TreeColoring, payload) -> None:
 def _answer(args, payload, text, ok=True) -> int:
     """Print payload as JSON under --json and text otherwise; exit 0 on a
     positive answer and 1 on a negative one."""
-    print(json.dumps(payload) if args.json else text)
+    print(_dumps(payload) if args.json else text)
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
-# The gen families, in --family's order: each builds a graph from (n, seed).
+# The gen families, in --family's order: each builds a graph from (n, seed)
+# with the generators of the graph module it is given.
 _FAMILIES = {
-    "knn": lambda n, seed: complete_bipartite(n),
-    "cycle": lambda n, seed: cycle(n),
-    "path": lambda n, seed: path(n),
-    "dodecahedron": lambda n, seed: dodecahedron(),
-    "hexgrid": lambda n, seed: hex_grid(n, n),
-    "outerplanar": maximal_outerplanar_random,
+    "knn": lambda graph, n, seed: graph.complete_bipartite(n),
+    "cycle": lambda graph, n, seed: graph.cycle(n),
+    "path": lambda graph, n, seed: graph.path(n),
+    "dodecahedron": lambda graph, n, seed: graph.dodecahedron(),
+    "hexgrid": lambda graph, n, seed: graph.hex_grid(n, n),
+    "outerplanar": lambda graph, n, seed: graph.maximal_outerplanar_random(n, seed),
 }
 
 
 def _cmd_gen(args) -> int:
+    from . import graph
+
     if args.n is None and args.family != "dodecahedron":
         raise PreconditionError(f"--n is required for family {args.family!r}")
-    g = _FAMILIES[args.family](args.n, args.seed)
-    sys.stdout.write(format_edge_list(g))
+    g = _FAMILIES[args.family](graph, args.n, args.seed)
+    sys.stdout.write(graph.format_edge_list(g))
     return EXIT_OK
 
 
 def _cmd_construct(args) -> int:
+    from .coloring import Params, certificate_from_coloring
     from .dispatch import construct
 
     g = _load_graph(args.graph)
@@ -166,6 +167,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .coloring import verify
+
     g = _load_graph(args.graph)
     params, coloring = _load_certificate(args.cert)
     report = verify(g, coloring, params)
@@ -174,7 +177,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_feasible(args) -> int:
-    from .bipartite import feasible_11, feasible_inf2
+    from .decider import feasible_11, feasible_inf2
 
     if args.variant == "11":
         ok = feasible_11(args.knn, args.q)
@@ -185,12 +188,12 @@ def _cmd_feasible(args) -> int:
     payload = {"feasible": ok, "witness": asdict(witness) if witness else None}
     text = "feasible" if ok else "infeasible"
     if witness is not None:
-        text += "\n" + json.dumps(payload["witness"])
+        text += "\n" + _dumps(payload["witness"])
     return _answer(args, payload, text, ok)
 
 
 def _cmd_exact_va(args) -> int:
-    from .bipartite import exact_va11, exact_vainf2
+    from .decider import exact_va11, exact_vainf2
 
     fn = exact_va11 if args.variant == "11" else exact_vainf2
     value = fn(args.knn)
@@ -198,6 +201,7 @@ def _cmd_exact_va(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .coloring import Params, certificate_from_coloring
     from .oracle import BUDGET_EXCEEDED, FEASIBLE, SearchBudget, brute_force_search
 
     g = _load_graph(args.graph)

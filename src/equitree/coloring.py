@@ -6,17 +6,9 @@ from functools import cache
 from typing import Any, Collection, Mapping, Protocol, Sequence
 
 from .errors import InputFormatError, PreconditionError
-from .graph import UNBOUNDED, Graph, _check_type, _is_count, _Value
-
-# The names of the methods that dispatch.construct chooses among.
-METHODS = ("auto", "girth5", "girth6", "outerplanar")
-
-
-def _check_bound(value: Any, name: str) -> int | float:
-    """A cap: a nonnegative int, or any value equal to UNBOUNDED."""
-    if value == UNBOUNDED or _is_count(value, 0):
-        return value
-    raise PreconditionError(f"{name} must be a nonnegative int or UNBOUNDED")
+from .graph import Graph
+# METHODS is imported for the callers that read it from here, its old home.
+from .values import METHODS, UNBOUNDED, _check_bound, _check_type, _is_count, _Value  # noqa: F401
 
 
 class Params(_Value):

@@ -3,38 +3,42 @@
 from __future__ import annotations
 
 from .bipartite import construct_knn, detect_balanced_biclique, relabel_for_sides
-from .coloring import METHODS, Params, TreeColoring, _check_args, verify
+from .coloring import Params, TreeColoring, _check_args, verify
 from .errors import ConfigurationNotFoundError, PreconditionError
-from .graph import UNBOUNDED, Graph
-from .sparse import color_girth5, color_girth6, color_outerplanar
+from .graph import Graph
+from .values import METHODS, UNBOUNDED
 
 
 def _build(g: Graph, params: Params, method: str) -> TreeColoring:
     t = params.t
-    if method == "girth5":
-        return color_girth5(g, t)
-    if method == "girth6":
-        return color_girth6(g, t)
-    if method == "outerplanar":
-        return color_outerplanar(g, t)
+    if method == "auto":
+        sides = detect_balanced_biclique(g)
+        if sides is not None:
+            base = construct_knn(len(sides[0]), t, params.k, params.d)
+            return relabel_for_sides(base, *sides)
+        if t == 1:
+            # Only forests can take a single class; construct verifies.
+            return TreeColoring((1,) * g.n, 1)
+        if params.k != UNBOUNDED or params.d != UNBOUNDED:
+            raise PreconditionError(
+                "finite degree or diameter caps are only supported for "
+                "balanced complete bipartite inputs"
+            )
 
-    sides = detect_balanced_biclique(g)
-    if sides is not None:
-        base = construct_knn(len(sides[0]), t, params.k, params.d)
-        return relabel_for_sides(base, *sides)
-    if t == 1:
-        # Only forests can take a single class; construct verifies.
-        return TreeColoring((1,) * g.n, 1)
-    if params.k != UNBOUNDED or params.d != UNBOUNDED:
-        raise PreconditionError(
-            "finite degree or diameter caps are only supported for "
-            "balanced complete bipartite inputs"
-        )
+    # Imported here, so a K_{n,n} construction never loads the sparse engine;
+    # its functions are looked up at call time, so a patched one is seen.
+    from . import sparse
+
+    if method == "girth5":
+        return sparse.color_girth5(g, t)
+    if method == "girth6":
+        return sparse.color_girth6(g, t)
+    if method == "outerplanar":
+        return sparse.color_outerplanar(g, t)
     try:
-        # Looked up at call time, so a patched module attribute is seen.
-        return (color_girth6 if t == 2 else color_girth5)(g, t)
+        return (sparse.color_girth6 if t == 2 else sparse.color_girth5)(g, t)
     except (PreconditionError, ConfigurationNotFoundError):
-        return color_outerplanar(g, t)
+        return sparse.color_outerplanar(g, t)
 
 
 def construct(g: Graph, params: Params, method: str = "auto") -> TreeColoring:

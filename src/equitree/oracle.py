@@ -21,7 +21,8 @@ import time
 
 from .coloring import Params, TreeColoring, _check_args, _measure
 from .errors import PreconditionError
-from .graph import UNBOUNDED, Graph, _check_type, _is_count, _Value, complete_bipartite
+from .graph import Graph, complete_bipartite
+from .values import UNBOUNDED, _check_type, _is_count, _Value
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -195,7 +196,7 @@ def cross_check_bipartite(n_max: int, q_max: int,
     """
     if not (_is_count(n_max, 1) and _is_count(q_max, 1)):
         raise PreconditionError("cross-check needs int n_max >= 1 and q_max >= 1")
-    from .bipartite import feasible_11, feasible_inf2
+    from .decider import feasible_11, feasible_inf2
 
     checked = 0
     found: list[Disagreement] = []

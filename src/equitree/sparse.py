@@ -52,7 +52,8 @@ from .errors import (
     NotEnoughVerticesError,
     PreconditionError,
 )
-from .graph import UNBOUNDED, Graph, _check_type, _is_count, _Value, remove_vertices
+from .graph import Graph, remove_vertices
+from .values import UNBOUNDED, _check_type, _is_count, _Value
 
 # Configuration kinds, named for what they look like.  The first two are
 # the shared scan of all three peels; the outerplanar peel needs no other.

@@ -32,7 +32,7 @@ from equitree import (
     remove_vertices,
     va11_upper,
 )
-from equitree import cli, dispatch
+from equitree import cli, sparse
 
 
 def _assert_valid(g, coloring, params):
@@ -165,7 +165,7 @@ def test_unknown_method_raises():
 
 
 def test_failed_verdict_raises(monkeypatch):
-    monkeypatch.setattr(dispatch, "color_outerplanar",
+    monkeypatch.setattr(sparse, "color_outerplanar",
                         lambda g, t: TreeColoring((1,) * g.n, t))
     with pytest.raises(PreconditionError,
                        match="class 1 has size 4, outside the equitable range"):

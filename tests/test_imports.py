@@ -1,5 +1,5 @@
 """What a process loads: the package resolves names on first use, and the
-CLI imports an engine only for the subcommand that runs it.
+CLI imports a module, json included, only for the subcommand that runs it.
 
 Every check runs in a fresh interpreter, since this one has imported
 everything already.
@@ -12,6 +12,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import equitree
 
@@ -30,20 +32,35 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 
 # Prepended to each script: on exit, write to stderr the loaded equitree
-# submodules, and dataclasses and inspect if the script loaded them: the
-# package needs neither, and their import is a large share of start-up.
+# submodules, and dataclasses, inspect and json if the script loaded them:
+# the package needs neither of the first two, whose import is a large share
+# of start-up, and only a process that reads or writes JSON needs json.
 _REPORT = ("import atexit, sys\n"
            "preloaded = set(sys.modules)\n"
            "atexit.register(lambda: sys.stderr.write(' '.join(\n"
            "    m for m in sys.modules if m.startswith('equitree.')\n"
-           "    or m in ('dataclasses', 'inspect') and m not in preloaded)))\n")
+           "    or m in ('dataclasses', 'inspect', 'json') and m not in preloaded)))\n")
 
 
 def _loaded(script: str) -> tuple[str, set[str]]:
     """Stdout of a fresh interpreter that runs script, and the equitree
-    submodules, with dataclasses and inspect if loaded, when it exits."""
+    submodules, with dataclasses, inspect and json if loaded, when it exits."""
     done = _python("-c", _REPORT + script)
     return done.stdout, {name.removeprefix("equitree.") for name in done.stderr.split()}
+
+
+def _cli_loads(*argv: str) -> set[str]:
+    """What ``python -m equitree.cli ARGV`` loads, whatever its exit code.
+
+    Run as __main__, the CLI module itself is not loaded as equitree.cli.
+    """
+    script = ("import runpy\n"
+              f"sys.argv[1:] = {list(argv)!r}\n"
+              "try:\n"
+              "    runpy.run_module('equitree.cli', run_name='__main__', alter_sys=True)\n"
+              "except SystemExit:\n"
+              "    pass\n")
+    return _loaded(script)[1]
 
 
 def _defined_names(module: str) -> set[str]:
@@ -65,30 +82,49 @@ def test_package_import_loads_no_submodule():
 
 
 def test_cli_import_loads_only_what_every_subcommand_uses():
-    assert _loaded("import equitree.cli")[1] == {"cli", "errors", "graph", "coloring"}
+    assert _loaded("import equitree.cli")[1] == {"cli", "errors", "values"}
 
 
-def test_exact_va_loads_only_bipartite_beside_the_cli_core():
-    # What `python -m equitree.cli exact-va ...` does; run as __main__, the
-    # CLI module itself is not loaded as equitree.cli.
-    script = ("import runpy\n"
-              "sys.argv[1:] = ['exact-va', '--variant', '11', '--knn', '43']\n"
-              "runpy.run_module('equitree.cli', run_name='__main__', alter_sys=True)\n")
-    assert _loaded(script)[1] == {"errors", "graph", "coloring", "bipartite"}
+@pytest.mark.parametrize("argv", [
+    ("exact-va", "--variant", "11", "--knn", "43"),
+    ("exact-va", "--variant", "inf2", "--knn", "43", "--json"),
+    ("feasible", "--variant", "11", "--knn", "43", "--q", "21"),
+    ("feasible", "--variant", "inf2", "--knn", "8", "--q", "5", "--json"),
+], ids=["exact-va", "exact-va-json", "feasible", "feasible-witness-json"])
+def test_knn_deciders_load_only_the_decider_beside_the_base(argv):
+    expected = {"errors", "values", "decider"} | ({"json"} if "--json" in argv else set())
+    assert _cli_loads(*argv) == expected
+
+
+def test_gen_loads_no_coloring_and_no_json():
+    assert _cli_loads("gen", "--family", "knn", "--n", "8") == {"errors", "values", "graph"}
+
+
+def _edge_list(tmp_path, g) -> str:
+    path = tmp_path / "graph.txt"
+    path.write_text(equitree.format_edge_list(g))
+    return str(path)
+
+
+def test_construct_loads_the_sparse_engine_only_off_knn(tmp_path):
+    core = {"errors", "values", "graph", "coloring", "dispatch", "bipartite", "decider",
+            "json"}
+    knn = _edge_list(tmp_path, equitree.complete_bipartite(8))
+    assert _cli_loads("construct", "--graph", knn, "--t", "5", "--k", "2", "--d", "2") == core
+    outer = _edge_list(tmp_path, equitree.maximal_outerplanar_random(40, 7))
+    assert _cli_loads("construct", "--graph", outer, "--t", "3") == core | {"sparse"}
 
 
 def test_search_loads_only_the_oracle_beside_the_cli_core(tmp_path):
-    # The oracle needs bipartite's formulas for cross-check only.
-    graph = tmp_path / "k55.txt"
-    graph.write_text(equitree.format_edge_list(equitree.complete_bipartite(5)))
-    argv = ["search", "--graph", str(graph), "--t", "3", "--k", "1", "--d", "1"]
-    script = ("import runpy\n"
-              f"sys.argv[1:] = {argv!r}\n"
-              "try:\n"
-              "    runpy.run_module('equitree.cli', run_name='__main__', alter_sys=True)\n"
-              "except SystemExit:\n"
-              "    pass\n")
-    assert _loaded(script)[1] == {"errors", "graph", "coloring", "oracle"}
+    graph = _edge_list(tmp_path, equitree.complete_bipartite(5))
+    argv = ["search", "--graph", graph, "--t", "3", "--k", "1", "--d", "1"]
+    # json reads the ids of the edge list's canonical layout.
+    assert _cli_loads(*argv) == {"errors", "values", "graph", "coloring", "oracle", "json"}
+
+
+def test_cross_check_loads_the_decider_not_the_constructions():
+    assert _cli_loads("cross-check", "--nmax", "2", "--qmax", "2") == {
+        "errors", "values", "graph", "coloring", "oracle", "decider"}
 
 
 def test_every_public_name_resolves_to_its_defining_module():

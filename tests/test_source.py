@@ -6,7 +6,7 @@ it changes nothing else a module can see.  So no module of the package may
 hold an ``assert`` or read either flag.
 
 Only the builders that prove every rule of ``Graph``'s or ``TreeColoring``'s
-check in their own lines skip it through ``graph._unchecked``.  A new caller
+check in their own lines skip it through ``values._unchecked``.  A new caller
 fails here until it is added to ``UNCHECKED_BUILDERS`` on purpose.
 """
 
