@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import re
 from typing import Iterable, Iterator
@@ -51,13 +52,13 @@ class Graph(_Value):
 
     @property
     def m(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return sum(map(len, self.adjacency)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
     def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self.adjacency]
+        return list(map(len, self.adjacency))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
@@ -70,23 +71,43 @@ class Graph(_Value):
                     yield u, v
 
 
+class _NoCollection:
+    """``with _NoCollection():`` pauses the cyclic collector while a builder
+    makes its per-vertex containers, none of which can form a cycle.
+
+    On exit it turns the collector back on only if it was on before, also
+    when the block raises.  The collector's switch is process-wide: other
+    threads go uncollected during the block, and a thread that switches the
+    collector off during it finds it on again afterwards.
+    """
+
+    def __enter__(self) -> None:
+        self.was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self.was_enabled:
+            gc.enable()
+
+
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on n vertices; Graph rejects self-loops and bool ids."""
     if not _is_count(n, 0):
         raise PreconditionError("vertex count must be nonnegative")
-    adj: list[set[int]] = [set() for _ in range(n)]
-    # A malformed edge fails to unpack, compare or index: no per-edge type test.
-    try:
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputFormatError(f"edge ({u}, {v}) out of range for n={n}")
-            if v in adj[u]:
-                raise InputFormatError(f"duplicate edge ({u}, {v})")
-            adj[u].add(v)
-            adj[v].add(u)
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"edges must be pairs of int vertex ids: {exc}") from exc
-    return Graph(tuple(frozenset(s) for s in adj))
+    with _NoCollection():
+        adj: list[set[int]] = [set() for _ in range(n)]
+        # A malformed edge fails to unpack, compare or index: no per-edge type test.
+        try:
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InputFormatError(f"edge ({u}, {v}) out of range for n={n}")
+                if v in adj[u]:
+                    raise InputFormatError(f"duplicate edge ({u}, {v})")
+                adj[u].add(v)
+                adj[v].add(u)
+        except (TypeError, ValueError) as exc:
+            raise InputFormatError(f"edges must be pairs of int vertex ids: {exc}") from exc
+        return Graph(tuple(map(frozenset, adj)))
 
 
 # ---- generators -------------------------------------------------------------
@@ -99,21 +120,26 @@ def complete_bipartite(n: int) -> Graph:
     xs = frozenset(range(n))
     ys = frozenset(range(n, 2 * n))
     # Each side is the other's neighborhood: in range, loop-free, symmetric.
-    return _unchecked(Graph, adjacency=tuple(ys if v < n else xs for v in range(2 * n)))
+    return _unchecked(Graph, adjacency=(ys,) * n + (xs,) * n)
 
 
 def path(n: int) -> Graph:
     """Path on n vertices, ids in path order."""
     if not _is_count(n, 1):
         raise PreconditionError("path needs an int n >= 1")
-    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    # {1}, {v-1, v+1} for each inner v, {n-2}: ids 0..n-1 only, never v
+    # itself, and u lists v exactly when v lists u.
+    with _NoCollection():
+        inner = map(frozenset, zip(range(n - 2), range(2, n)))
+        adjacency = (frozenset({1}), *inner, frozenset({n - 2})) if n > 1 else (frozenset(),)
+        return _unchecked(Graph, adjacency=adjacency)
 
 
 def cycle(n: int) -> Graph:
     """Cycle on n vertices.  Needs n >= 3 to stay loop- and multi-edge-free."""
     if not _is_count(n, 3):
         raise PreconditionError("cycle needs an int n >= 3 to remain a simple graph")
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return graph_from_edges(n, zip(range(n), (*range(1, n), 0)))
 
 
 # Chord offsets for the dodecahedral graph: ring 0..19 plus i -> i + shift.
@@ -122,10 +148,8 @@ _DODECAHEDRON_SHIFTS = (10, 7, 4, -4, -7, 10, -4, 7, -7, 4)
 
 def dodecahedron() -> Graph:
     """The 20-vertex 3-regular planar graph of girth 5."""
-    es: set[tuple[int, int]] = set()
-    for i in range(20):
-        for j in ((i + 1) % 20, (i + _DODECAHEDRON_SHIFTS[i % 10]) % 20):
-            es.add((min(i, j), max(i, j)))
+    es = {(min(i, j), max(i, j)) for i in range(20)
+          for j in ((i + 1) % 20, (i + _DODECAHEDRON_SHIFTS[i % 10]) % 20)}
     return graph_from_edges(20, sorted(es))
 
 
@@ -133,26 +157,41 @@ def hex_grid(rows: int, cols: int) -> Graph:
     """Brick-wall patch of rows x cols hexagonal cells; girth exactly 6.
 
     Each cell is a 6-cycle drawn as a brick two grid columns wide; odd brick
-    rows are shifted one grid column to the right.
+    rows are shifted one grid column to the right.  Grid row 0 holds the
+    points x = 0..2*cols, each middle row x = 0..2*cols+1, and the last row
+    (row ``rows``) x = x0..2*cols+x0 with x0 = (rows-1) % 2.  Ids run
+    row-major, in increasing x within a row.
     """
     if not (_is_count(rows, 1) and _is_count(cols, 1)):
         raise PreconditionError("hex_grid needs int rows >= 1 and cols >= 1")
-    coord_edges: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    for br in range(rows):
-        x0 = br % 2
-        for bc in range(cols):
-            x = 2 * bc + x0
-            ring = [
-                (br, x), (br, x + 1), (br, x + 2),
-                (br + 1, x + 2), (br + 1, x + 1), (br + 1, x),
-            ]
-            for p, q in zip(ring, ring[1:] + ring[:1]):
-                coord_edges.add((min(p, q), max(p, q)))
-    verts = sorted({p for e in coord_edges for p in e})
-    index = {p: i for i, p in enumerate(verts)}
-    return graph_from_edges(
-        len(verts), sorted((index[p], index[q]) for p, q in coord_edges)
-    )
+    width = 2 * cols + 1
+    # Grid row r holds the ids start[r]..start[r+1]-1, and point (r, x) has
+    # id start[r] + x, less (rows-1) % 2 in the last row: rows 0 and `rows`
+    # hold width points, each middle row one more.
+    start = [0, *range(width, rows * (width + 1), width + 1)]
+    start.append(start[-1] + width)
+    with _NoCollection():
+        adj = [[] for _ in range(start[-1])]
+        for r in range(rows + 1):
+            a, b = start[r], start[r + 1]
+            if r:
+                # The brick sides between grid rows r-1 and r stand at
+                # x = p + 2j, j = 0..cols.
+                p = (r - 1) % 2
+                ups = range(start[r - 1] + p, a, 2)
+                for u, v in zip(ups, range(a + (r < rows) * p, b, 2)):
+                    adj[u].append(v)
+                    adj[v].append(u)
+            for v in range(a, b - 1):
+                adj[v].append(v + 1)
+                adj[v + 1].append(v)
+        # Each vertex got its neighbors up, left, right, down: increasing
+        # ids, each frozenset laid out as one built by adds in that order.
+        # Each vertical x lies in both of its rows, so every id is a point of
+        # the grid; every edge joins two distinct points, is appended both
+        # ways and is made once: a horizontal edge by its row's scan, a
+        # vertical one by its pair of rows.
+        return _unchecked(Graph, adjacency=tuple(map(frozenset, adj)))
 
 
 def maximal_outerplanar_random(n: int, seed: int) -> Graph:
@@ -165,22 +204,27 @@ def maximal_outerplanar_random(n: int, seed: int) -> Graph:
         raise PreconditionError("maximal_outerplanar_random needs an int n >= 1")
     _check_type(seed, int, "seed")
     rng = random.Random(seed)
-    edges = [(i, i + 1) for i in range(n - 1)]
-    if n >= 3:
-        edges.append((0, n - 1))
-        stack = [(0, n - 1)]
-        while stack:
-            i, j = stack.pop()
-            if j - i < 2:
-                continue
-            k = rng.randint(i + 1, j - 1)
-            if k - i >= 2:
-                edges.append((i, k))
-            if j - k >= 2:
-                edges.append((k, j))
-            stack.append((i, k))
-            stack.append((k, j))
-    return graph_from_edges(n, edges)
+    with _NoCollection():
+        # The boundary path, then the closing edge and the chords, each added
+        # to both ends: every vertex's set is built as it would be from the
+        # whole edge list in that order.
+        adj = list(map(set, path(n).adjacency))
+        if n >= 3:
+            adj[0].add(n - 1)
+            adj[n - 1].add(0)
+            stack = [(0, n - 1)]
+            while stack:
+                i, j = stack.pop()
+                k = rng.randint(i + 1, j - 1)
+                # A chord spans 2 or more steps inside the piece i..j, and
+                # each piece is split once: it repeats no edge and is no loop.
+                for a, b in (i, k), (k, j):
+                    if b - a >= 2:
+                        adj[a].add(b)
+                        adj[b].add(a)
+                        stack.append((a, b))
+        # Ids 0..n-1 only, no loop, every edge added both ways.
+        return _unchecked(Graph, adjacency=tuple(map(frozenset, adj)))
 
 
 # ---- structural queries -----------------------------------------------------
@@ -273,13 +317,14 @@ def remove_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int
     for v in removed:
         if not (_is_count(v, 0) and v < g.n):
             raise PreconditionError(f"vertex {v!r} out of range for removal")
-    keep = [v for v in range(g.n) if v not in removed]
-    remap = {old: new for new, old in enumerate(keep)}
-    adjacency = tuple(
-        frozenset(remap[u] for u in g.adjacency[old] if u not in removed)
-        for old in keep
-    )
-    return Graph(adjacency), remap
+    with _NoCollection():
+        keep = sorted(set(range(g.n)) - removed)
+        remap = dict(zip(keep, range(len(keep))))
+        adjacency = tuple(
+            frozenset(remap[u] for u in g.adjacency[old] if u not in removed)
+            for old in keep
+        )
+        return Graph(adjacency), remap
 
 
 # ---- edge-list text format --------------------------------------------------
@@ -315,17 +360,18 @@ def parse_edge_list(text: str) -> Graph:
             pass
         else:
             if len(ids) == 2 * m and max(ids, default=-1) < n:
-                adj: list[list[int]] = [[] for _ in range(n)]
-                pairs = iter(ids)
-                for u, v in zip(pairs, pairs):
-                    adj[u].append(v)
-                    adj[v].append(u)
-                adjacency = tuple(map(frozenset, adj))
-                # Shorter only if some edge repeats or is a self-loop.  The
-                # layout admits only ids 0..n-1 and the appends are two-way,
-                # so this graph passes every rule of Graph's check.
-                if sum(map(len, adjacency)) == len(ids):
-                    return _unchecked(Graph, adjacency=adjacency)
+                with _NoCollection():
+                    adj: list[list[int]] = [[] for _ in range(n)]
+                    pairs = iter(ids)
+                    for u, v in zip(pairs, pairs):
+                        adj[u].append(v)
+                        adj[v].append(u)
+                    adjacency = tuple(map(frozenset, adj))
+                    # Shorter only if some edge repeats or is a self-loop.  The
+                    # layout admits only ids 0..n-1 and the appends are two-way,
+                    # so this graph passes every rule of Graph's check.
+                    if sum(map(len, adjacency)) == len(ids):
+                        return _unchecked(Graph, adjacency=adjacency)
     return _parse_lines(text)
 
 
@@ -337,34 +383,30 @@ def _parse_lines(text: str) -> Graph:
         tokens = line.split()
         if not tokens:
             continue
-        if tokens[0] == "p":
-            if header is not None or raw:
-                raise InputFormatError(f"line {lineno}: header must come first")
-            if len(tokens) != 3:
-                raise InputFormatError(f"line {lineno}: header must be 'p <n> <m>'")
-            try:
-                hn, hm = int(tokens[1]), int(tokens[2])
-            except ValueError as exc:
-                raise InputFormatError(f"line {lineno}: non-integer header field") from exc
-            if hn < 0 or hm < 0:
-                raise InputFormatError(f"line {lineno}: negative header field")
-            header = (hn, hm)
-            continue
-        if len(tokens) != 2:
-            raise InputFormatError(f"line {lineno}: expected 'u v'")
+        # A header and an edge line each hold two nonnegative ints.
+        is_header = tokens[0] == "p"
+        if is_header and (header is not None or raw):
+            raise InputFormatError(f"line {lineno}: header must come first")
+        if len(tokens) != 2 + is_header:
+            shape = "header must be 'p <n> <m>'" if is_header else "expected 'u v'"
+            raise InputFormatError(f"line {lineno}: {shape}")
+        field = "header field" if is_header else "vertex id"
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            a, b = map(int, tokens[is_header:])
         except ValueError as exc:
-            raise InputFormatError(f"line {lineno}: non-integer vertex id") from exc
-        if u < 0 or v < 0:
-            raise InputFormatError(f"line {lineno}: negative vertex id")
-        raw.append((u, v))
+            raise InputFormatError(f"line {lineno}: non-integer {field}") from exc
+        if a < 0 or b < 0:
+            raise InputFormatError(f"line {lineno}: negative {field}")
+        if is_header:
+            header = (a, b)
+        else:
+            raw.append((a, b))
     if header is not None:
         n, m = header
         if m != len(raw):
             raise InputFormatError(f"header declares {m} edges, found {len(raw)}")
     else:
-        n = 1 + max((max(u, v) for u, v in raw), default=-1)
+        n = 1 + max(map(max, raw), default=-1)
     return graph_from_edges(n, raw)
 
 

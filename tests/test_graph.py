@@ -1,6 +1,7 @@
 """Graph model, generators, queries, and the edge-list text format."""
 
 import copy
+import gc
 import inspect
 import pickle
 import random
@@ -253,6 +254,151 @@ class TestGenerators:
     def test_non_int_sizes_rejected(self, call):
         with pytest.raises(PreconditionError, match="int"):
             call()
+
+
+# The generators as they were built from edge lists, through graph_from_edges
+# and Graph's check.  The library builds their adjacency directly and must
+# give the same graphs, each vertex's frozenset iterating in the same order.
+
+
+def _reference_path(n):
+    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _reference_hex_grid(rows, cols):
+    coord_edges = set()
+    for br in range(rows):
+        x0 = br % 2
+        for bc in range(cols):
+            x = 2 * bc + x0
+            ring = [
+                (br, x), (br, x + 1), (br, x + 2),
+                (br + 1, x + 2), (br + 1, x + 1), (br + 1, x),
+            ]
+            for p, q in zip(ring, ring[1:] + ring[:1]):
+                coord_edges.add((min(p, q), max(p, q)))
+    verts = sorted({p for e in coord_edges for p in e})
+    index = {p: i for i, p in enumerate(verts)}
+    return graph_from_edges(
+        len(verts), sorted((index[p], index[q]) for p, q in coord_edges)
+    )
+
+
+def _reference_outerplanar(n, seed):
+    rng = random.Random(seed)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if n >= 3:
+        edges.append((0, n - 1))
+        stack = [(0, n - 1)]
+        while stack:
+            i, j = stack.pop()
+            if j - i < 2:
+                continue
+            k = rng.randint(i + 1, j - 1)
+            if k - i >= 2:
+                edges.append((i, k))
+            if j - k >= 2:
+                edges.append((k, j))
+            stack.append((i, k))
+            stack.append((k, j))
+    return graph_from_edges(n, edges)
+
+
+class TestGeneratorsMatchTheirEdgeListBuilds:
+    """path, hex_grid and maximal_outerplanar_random skip Graph's check; the
+    checked constructor must accept each graph, and each must equal its
+    reference down to the order in which every neighborhood iterates, which
+    the peel's colorings depend on."""
+
+    def _assert_same(self, g, expected):
+        assert g == expected
+        for v in range(g.n):
+            assert list(g.adjacency[v]) == list(expected.adjacency[v]), v
+        assert Graph(g.adjacency) == g
+
+    def test_path(self):
+        for n in [*range(1, 301), 2100]:
+            self._assert_same(path(n), _reference_path(n))
+
+    def test_hex_grid(self):
+        for rows in range(1, 21):
+            for cols in range(1, 21):
+                self._assert_same(hex_grid(rows, cols), _reference_hex_grid(rows, cols))
+
+    def test_maximal_outerplanar_random(self):
+        for n in range(1, 101):
+            for seed in range(5):
+                self._assert_same(maximal_outerplanar_random(n, seed),
+                                  _reference_outerplanar(n, seed))
+        for n in (340, 3000):
+            self._assert_same(maximal_outerplanar_random(n, 11),
+                              _reference_outerplanar(n, 11))
+
+
+class TestCollectorPause:
+    """The builders pause the cyclic collector and leave it as they found it,
+    on or off, also when they raise."""
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: maximal_outerplanar_random(50, 3), None),
+        (lambda: hex_grid(4, 5), None),
+        (lambda: path(30), None),
+        (lambda: remove_vertices(path(6), [2]), None),
+        (lambda: parse_edge_list("p 3 2\n0 1\n1 2\n"), None),
+        # The fast path builds, finds the repeat and declines; the line loop
+        # then raises inside graph_from_edges.
+        (lambda: parse_edge_list("0 1\n1 0\n"), "duplicate edge"),
+        (lambda: graph_from_edges(3, [(0, 1), (2, 1), (0, 1)]), "duplicate edge"),
+    ], ids=["outerplanar", "hex_grid", "path", "remove_vertices", "parse",
+            "parse_fallback_raises", "graph_from_edges_raises"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_state_restored(self, build, error, enabled):
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if error is None:
+                build()
+            else:
+                with pytest.raises(InputFormatError, match=error):
+                    build()
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_no_collection_while_a_graph_is_built(self):
+        # Each build makes thousands of containers, past the collector's
+        # first threshold; with it paused, no collection starts before the
+        # build returns.  The first allocation after it may start one.
+        g = maximal_outerplanar_random(5000, 1)
+        text = format_edge_list(g)
+        builds = {
+            "outerplanar": lambda: maximal_outerplanar_random(5000, 1),
+            "hex_grid": lambda: hex_grid(50, 50),
+            "path": lambda: path(5000),
+            "parse": lambda: parse_edge_list(text),
+            "graph_from_edges": lambda: graph_from_edges(g.n, g.edges()),
+            "remove_vertices": lambda: remove_vertices(g, range(0, 5000, 7)),
+        }
+        building = [None]
+        collected_during = []
+
+        def watch(phase, info):
+            if phase == "start" and building[0]:
+                collected_during.append(building[0])
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(watch)
+        try:
+            for name, build in builds.items():
+                gc.collect()
+                building[0] = name
+                build()
+                building[0] = None
+        finally:
+            gc.callbacks.remove(watch)
+            (gc.enable if was_enabled else gc.disable)()
+        assert collected_during == []
 
 
 class TestQueries:
