@@ -1,4 +1,8 @@
-"""Immutable simple graphs with dense vertex ids, generators, and queries."""
+"""Immutable simple graphs with dense vertex ids, generators, and queries.
+
+path, hex_grid, maximal_outerplanar_random and parse_edge_list pause the
+process-wide cyclic collector while they build (see _NoCollection).
+"""
 
 from __future__ import annotations
 
@@ -52,13 +56,13 @@ class Graph(_Value):
 
     @property
     def m(self) -> int:
-        return sum(map(len, self.adjacency)) // 2
+        return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
     def degrees(self) -> list[int]:
-        return list(map(len, self.adjacency))
+        return [len(nbrs) for nbrs in self.adjacency]
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
@@ -94,20 +98,19 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on n vertices; Graph rejects self-loops and bool ids."""
     if not _is_count(n, 0):
         raise PreconditionError("vertex count must be nonnegative")
-    with _NoCollection():
-        adj: list[set[int]] = [set() for _ in range(n)]
-        # A malformed edge fails to unpack, compare or index: no per-edge type test.
-        try:
-            for u, v in edges:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise InputFormatError(f"edge ({u}, {v}) out of range for n={n}")
-                if v in adj[u]:
-                    raise InputFormatError(f"duplicate edge ({u}, {v})")
-                adj[u].add(v)
-                adj[v].add(u)
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"edges must be pairs of int vertex ids: {exc}") from exc
-        return Graph(tuple(map(frozenset, adj)))
+    adj: list[set[int]] = [set() for _ in range(n)]
+    # A malformed edge fails to unpack, compare or index: no per-edge type test.
+    try:
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputFormatError(f"edge ({u}, {v}) out of range for n={n}")
+            if v in adj[u]:
+                raise InputFormatError(f"duplicate edge ({u}, {v})")
+            adj[u].add(v)
+            adj[v].add(u)
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"edges must be pairs of int vertex ids: {exc}") from exc
+    return Graph(tuple(frozenset(s) for s in adj))
 
 
 # ---- generators -------------------------------------------------------------
@@ -120,7 +123,7 @@ def complete_bipartite(n: int) -> Graph:
     xs = frozenset(range(n))
     ys = frozenset(range(n, 2 * n))
     # Each side is the other's neighborhood: in range, loop-free, symmetric.
-    return _unchecked(Graph, adjacency=(ys,) * n + (xs,) * n)
+    return _unchecked(Graph, adjacency=tuple(ys if v < n else xs for v in range(2 * n)))
 
 
 def path(n: int) -> Graph:
@@ -139,7 +142,7 @@ def cycle(n: int) -> Graph:
     """Cycle on n vertices.  Needs n >= 3 to stay loop- and multi-edge-free."""
     if not _is_count(n, 3):
         raise PreconditionError("cycle needs an int n >= 3 to remain a simple graph")
-    return graph_from_edges(n, zip(range(n), (*range(1, n), 0)))
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 # Chord offsets for the dodecahedral graph: ring 0..19 plus i -> i + shift.
@@ -148,8 +151,10 @@ _DODECAHEDRON_SHIFTS = (10, 7, 4, -4, -7, 10, -4, 7, -7, 4)
 
 def dodecahedron() -> Graph:
     """The 20-vertex 3-regular planar graph of girth 5."""
-    es = {(min(i, j), max(i, j)) for i in range(20)
-          for j in ((i + 1) % 20, (i + _DODECAHEDRON_SHIFTS[i % 10]) % 20)}
+    es: set[tuple[int, int]] = set()
+    for i in range(20):
+        for j in ((i + 1) % 20, (i + _DODECAHEDRON_SHIFTS[i % 10]) % 20):
+            es.add((min(i, j), max(i, j)))
     return graph_from_edges(20, sorted(es))
 
 
@@ -317,14 +322,13 @@ def remove_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int
     for v in removed:
         if not (_is_count(v, 0) and v < g.n):
             raise PreconditionError(f"vertex {v!r} out of range for removal")
-    with _NoCollection():
-        keep = sorted(set(range(g.n)) - removed)
-        remap = dict(zip(keep, range(len(keep))))
-        adjacency = tuple(
-            frozenset(remap[u] for u in g.adjacency[old] if u not in removed)
-            for old in keep
-        )
-        return Graph(adjacency), remap
+    keep = [v for v in range(g.n) if v not in removed]
+    remap = {old: new for new, old in enumerate(keep)}
+    adjacency = tuple(
+        frozenset(remap[u] for u in g.adjacency[old] if u not in removed)
+        for old in keep
+    )
+    return Graph(adjacency), remap
 
 
 # ---- edge-list text format --------------------------------------------------
@@ -383,30 +387,34 @@ def _parse_lines(text: str) -> Graph:
         tokens = line.split()
         if not tokens:
             continue
-        # A header and an edge line each hold two nonnegative ints.
-        is_header = tokens[0] == "p"
-        if is_header and (header is not None or raw):
-            raise InputFormatError(f"line {lineno}: header must come first")
-        if len(tokens) != 2 + is_header:
-            shape = "header must be 'p <n> <m>'" if is_header else "expected 'u v'"
-            raise InputFormatError(f"line {lineno}: {shape}")
-        field = "header field" if is_header else "vertex id"
+        if tokens[0] == "p":
+            if header is not None or raw:
+                raise InputFormatError(f"line {lineno}: header must come first")
+            if len(tokens) != 3:
+                raise InputFormatError(f"line {lineno}: header must be 'p <n> <m>'")
+            try:
+                hn, hm = int(tokens[1]), int(tokens[2])
+            except ValueError as exc:
+                raise InputFormatError(f"line {lineno}: non-integer header field") from exc
+            if hn < 0 or hm < 0:
+                raise InputFormatError(f"line {lineno}: negative header field")
+            header = (hn, hm)
+            continue
+        if len(tokens) != 2:
+            raise InputFormatError(f"line {lineno}: expected 'u v'")
         try:
-            a, b = map(int, tokens[is_header:])
+            u, v = int(tokens[0]), int(tokens[1])
         except ValueError as exc:
-            raise InputFormatError(f"line {lineno}: non-integer {field}") from exc
-        if a < 0 or b < 0:
-            raise InputFormatError(f"line {lineno}: negative {field}")
-        if is_header:
-            header = (a, b)
-        else:
-            raw.append((a, b))
+            raise InputFormatError(f"line {lineno}: non-integer vertex id") from exc
+        if u < 0 or v < 0:
+            raise InputFormatError(f"line {lineno}: negative vertex id")
+        raw.append((u, v))
     if header is not None:
         n, m = header
         if m != len(raw):
             raise InputFormatError(f"header declares {m} edges, found {len(raw)}")
     else:
-        n = 1 + max(map(max, raw), default=-1)
+        n = 1 + max((max(u, v) for u, v in raw), default=-1)
     return graph_from_edges(n, raw)
 
 
