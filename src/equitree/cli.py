@@ -12,9 +12,9 @@ argparse itself exits with 2 on bad flags, before any computation.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -51,12 +51,14 @@ def _parse_bound(text: str):
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'inf', got {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("bounds must be nonnegative")
-    return value
+        message = f"expected an integer or 'inf', got {text!r}"
+    else:
+        if value >= 0:
+            return value
+        message = "bounds must be nonnegative"
+    from argparse import ArgumentTypeError
+
+    raise ArgumentTypeError(message)
 
 
 def _read_text(source: str) -> str:
@@ -237,72 +239,104 @@ def _cmd_cross_check(args) -> int:
     return _answer(args, asdict(report), "\n".join(lines), report.clean)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Every flag's add_argument keywords: a flag means the same in each
+# subcommand that takes it. A count is a required int; a bound is a cap.
+_COUNT = {"required": True, "type": int}
+_BOUND = {"type": _parse_bound, "default": UNBOUNDED}
+_FLAGS = {
+    "--family": {"required": True, "choices": list(_FAMILIES)},
+    "--n": {"type": int},
+    "--seed": {"type": int, "default": 0},
+    "--graph": {"required": True},
+    "--cert": {"required": True},
+    "--t": _COUNT,
+    "--k": _BOUND,
+    "--d": _BOUND,
+    "--method": {"default": "auto", "choices": METHODS},
+    "--knn": _COUNT,
+    "--q": _COUNT,
+    "--variant": {"required": True, "choices": ["11", "inf2"]},
+    "--max-nodes": {"type": int, "default": 100_000_000},
+    "--time-cap": {"type": float, "default": 60.0},
+    "--nmax": _COUNT,
+    "--qmax": _COUNT,
+    "--json": {"action": "store_true", "default": False},
+    "--emit-dot": {},
+}
+# The subcommands in --help's order, each with its help line and its flags
+# in --help's order. main runs COMMAND's handler, _cmd_COMMAND, by name.
+_COMMANDS = {
+    "gen": ("generate a named graph family", "--family --n --seed"),
+    "construct": ("build a coloring certificate",
+                  "--graph --t --k --d --method --emit-dot"),
+    "verify": ("check a certificate against a graph", "--graph --cert --json"),
+    "feasible": ("feasibility for K_{n,n}", "--knn --q --variant --json"),
+    "exact-va": ("exact strong threshold for K_{n,n}", "--knn --variant --json"),
+    "search": ("exhaustive search on a small graph",
+               "--graph --t --k --d --max-nodes --time-cap --json --emit-dot"),
+    "cross-check": ("compare formulas against the oracle", "--nmax --qmax --json"),
+}
+
+
+def _build_parser():
+    """The parser of _COMMANDS: the author of every help, usage and error
+    text, and the reader of each argv that _read_plain declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="equitree",
         description="Construct, verify, and decide equitable tree-colorings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate a named graph family")
-    gen.add_argument("--family", required=True, choices=list(_FAMILIES))
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.set_defaults(func=_cmd_gen)
-
-    con = sub.add_parser("construct", help="build a coloring certificate")
-    con.add_argument("--graph", required=True)
-    con.add_argument("--t", required=True, type=int)
-    con.add_argument("--k", type=_parse_bound, default=UNBOUNDED)
-    con.add_argument("--d", type=_parse_bound, default=UNBOUNDED)
-    con.add_argument("--method", default="auto", choices=METHODS)
-    con.add_argument("--emit-dot")
-    con.set_defaults(func=_cmd_construct)
-
-    ver = sub.add_parser("verify", help="check a certificate against a graph")
-    ver.add_argument("--graph", required=True)
-    ver.add_argument("--cert", required=True)
-    ver.add_argument("--json", action="store_true")
-    ver.set_defaults(func=_cmd_verify)
-
-    fea = sub.add_parser("feasible", help="feasibility for K_{n,n}")
-    fea.add_argument("--knn", required=True, type=int)
-    fea.add_argument("--q", required=True, type=int)
-    fea.add_argument("--variant", required=True, choices=["11", "inf2"])
-    fea.add_argument("--json", action="store_true")
-    fea.set_defaults(func=_cmd_feasible)
-
-    exa = sub.add_parser("exact-va", help="exact strong threshold for K_{n,n}")
-    exa.add_argument("--knn", required=True, type=int)
-    exa.add_argument("--variant", required=True, choices=["11", "inf2"])
-    exa.add_argument("--json", action="store_true")
-    exa.set_defaults(func=_cmd_exact_va)
-
-    sea = sub.add_parser("search", help="exhaustive search on a small graph")
-    sea.add_argument("--graph", required=True)
-    sea.add_argument("--t", required=True, type=int)
-    sea.add_argument("--k", type=_parse_bound, default=UNBOUNDED)
-    sea.add_argument("--d", type=_parse_bound, default=UNBOUNDED)
-    sea.add_argument("--max-nodes", type=int, default=100_000_000)
-    sea.add_argument("--time-cap", type=float, default=60.0)
-    sea.add_argument("--json", action="store_true")
-    sea.add_argument("--emit-dot")
-    sea.set_defaults(func=_cmd_search)
-
-    cro = sub.add_parser("cross-check",
-                         help="compare formulas against the oracle")
-    cro.add_argument("--nmax", required=True, type=int)
-    cro.add_argument("--qmax", required=True, type=int)
-    cro.add_argument("--json", action="store_true")
-    cro.set_defaults(func=_cmd_cross_check)
-
+    for command, (help_line, flags) in _COMMANDS.items():
+        each = sub.add_parser(command, help=help_line)
+        for flag in flags.split():
+            each.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
+def _read_plain(argv):
+    """What argparse reads from a plain argv, without importing argparse;
+    None for any other argv. A plain argv is COMMAND, then flags by their
+    full names, each once and each but a switch with a value. No value
+    starts with '-', a number is at most 640 ASCII digits (the lowest
+    digit limit int() can be given) or 'inf' for a bound, and a value with
+    choices is one of them."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    unread = _COMMANDS[argv[0]][1].split()
+    args = SimpleNamespace(command=argv[0])
+    words = iter(argv[1:])
+    for flag in words:
+        if flag not in unread:
+            return None
+        unread.remove(flag)
+        spec = _FLAGS[flag]
+        if "action" in spec:
+            value = True
+        else:
+            text = next(words, "-")
+            kind = spec.get("type")
+            if text[:1] == "-" or kind and not (
+                    text.isascii() and text.isdigit() and len(text) <= 640
+                    or text == "inf" and kind is _parse_bound):
+                return None
+            value = kind(text) if kind else text
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        setattr(args, flag[2:].replace("-", "_"), value)
+    for flag in unread:
+        if "required" in _FLAGS[flag]:
+            return None
+        setattr(args, flag[2:].replace("-", "_"), _FLAGS[flag].get("default"))
+    return args
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = (_read_plain(sys.argv[1:] if argv is None else argv)
+            or _build_parser().parse_args(argv))
     try:
-        return args.func(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except Exception as exc:
         for kind, code in _ERROR_EXITS:
             if isinstance(exc, kind):

@@ -5,10 +5,10 @@ import ast
 import io
 import json
 import re
-import shlex
 import sys
 from pathlib import Path
 
+import cli_parity
 import pytest
 
 from equitree import (ClassCountVector, CrossCheckReport, Disagreement, cli,
@@ -496,32 +496,10 @@ def test_golden_covers_every_subcommand():
                   else {False})
         assert flagged == wanted, name
 
-def _readme_blocks():
-    """README's sh blocks in order, each a list of ``(argv, redirect
-    target or None, expected exit code)`` for its ``equitree ...`` lines.
-    A line's exit code is 0 unless its comment says ``exit code N``."""
-    blocks = []
-    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
-        commands = []
-        for line in block.splitlines():
-            words = shlex.split(line, comments=True)
-            if words[:1] != ["equitree"]:
-                continue
-            cut = next((i for i, w in enumerate(words) if w in (">", "|")),
-                       len(words))
-            target = words[cut + 1] if words[cut:cut + 1] == [">"] else None
-            expected = re.search(r"#.*exit code (\d+)", line)
-            commands.append((words[1:cut], target,
-                             int(expected.group(1)) if expected else 0))
-        if commands:
-            blocks.append(commands)
-    return blocks
-
-
 def _readme_commands():
     """Argument lists of every ``equitree ...`` line in README's sh blocks,
     cut at the first shell redirection or pipe."""
-    return [argv for block in _readme_blocks() for argv, _, _ in block]
+    return [argv for block in cli_parity.readme_blocks() for argv, _, _ in block]
 
 
 def test_readme_has_commands_for_every_subcommand():
@@ -535,13 +513,20 @@ def test_readme_command_parses(argv):
     cli._build_parser().parse_args(argv)
 
 
+def test_plain_reader_agrees_with_argparse():
+    """The reader declines each argv of the corpus or reads exactly what
+    argparse reads, and reads README's and the benchmark's argv itself."""
+    assert cli_parity.disagreements(cli_parity.corpus()) == []
+    assert all(cli._read_plain(argv) for argv in _readme_commands() + cli_parity.BENCH)
+
+
 def test_readme_blocks_run_in_order(tmp_path, capsys, monkeypatch):
     """Every README command runs as written, in order, in one directory:
     each exits as documented, reads only files an earlier command wrote,
     and every file written by redirection is read by a later command."""
     monkeypatch.chdir(tmp_path)
     written, read = set(), set()
-    for block in _readme_blocks():
+    for block in cli_parity.readme_blocks():
         for argv, target, expected in block:
             for flag in ("--graph", "--cert"):
                 if flag in argv:

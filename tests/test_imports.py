@@ -32,19 +32,23 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 
 # Prepended to each script: on exit, write to stderr the loaded equitree
-# submodules, and dataclasses, inspect and json if the script loaded them:
-# the package needs neither of the first two, whose import is a large share
-# of start-up, and only a process that reads or writes JSON needs json.
+# submodules, and dataclasses, inspect, json, argparse and gettext if the
+# script, not site, loaded them: the package needs neither of the first two,
+# whose import is a large share of start-up, only a process that reads or
+# writes JSON needs json, and only the CLI's help and errors need argparse
+# and the gettext it imports.
 _REPORT = ("import atexit, sys\n"
            "preloaded = set(sys.modules)\n"
            "atexit.register(lambda: sys.stderr.write(' '.join(\n"
            "    m for m in sys.modules if m.startswith('equitree.')\n"
-           "    or m in ('dataclasses', 'inspect', 'json') and m not in preloaded)))\n")
+           "    or m in ('dataclasses', 'inspect', 'json', 'argparse', 'gettext')\n"
+           "    and m not in preloaded)))\n")
 
 
 def _loaded(script: str) -> tuple[str, set[str]]:
     """Stdout of a fresh interpreter that runs script, and the equitree
-    submodules, with dataclasses, inspect and json if loaded, when it exits."""
+    submodules, with the other modules _REPORT names if loaded, when it
+    exits."""
     done = _python("-c", _REPORT + script)
     return done.stdout, {name.removeprefix("equitree.") for name in done.stderr.split()}
 
@@ -125,6 +129,33 @@ def test_search_loads_only_the_oracle_beside_the_cli_core(tmp_path):
 def test_cross_check_loads_the_decider_not_the_constructions():
     assert _cli_loads("cross-check", "--nmax", "2", "--qmax", "2") == {
         "errors", "values", "graph", "coloring", "oracle", "decider"}
+
+
+_PLAIN = {
+    "gen": ["--family", "outerplanar", "--n", "40", "--seed", "7"],
+    "construct": ["--graph", "GRAPH", "--t", "2", "--k", "inf", "--d", "1"],
+    "verify": ["--graph", "GRAPH", "--cert", "CERT", "--json"],
+    "feasible": ["--variant", "11", "--knn", "8", "--q", "5"],
+    "exact-va": ["--variant", "inf2", "--knn", "8"],
+    "search": ["--graph", "GRAPH", "--t", "2", "--max-nodes", "100", "--time-cap", "5"],
+    "cross-check": ["--nmax", "2", "--qmax", "2", "--json"],
+}
+
+
+@pytest.mark.parametrize("command", list(_PLAIN))
+def test_plain_argv_loads_no_argparse(command, tmp_path):
+    graph = _edge_list(tmp_path, equitree.complete_bipartite(3))
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"n_vertices": 6, "t": 2, "k": null, "d": null, '
+                    '"colors": [1, 1, 1, 2, 2, 2]}')
+    argv = [{"GRAPH": graph, "CERT": str(cert)}.get(w, w) for w in _PLAIN[command]]
+    assert not _cli_loads(command, *argv) & {"argparse", "gettext"}
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("gen", "--family", "knn", "--n", "x")],
+                         ids=["help", "bad-int"])
+def test_help_and_errors_load_argparse(argv):
+    assert {"argparse", "gettext"} <= _cli_loads(*argv)
 
 
 def test_every_public_name_resolves_to_its_defining_module():
